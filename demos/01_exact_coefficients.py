@@ -49,6 +49,14 @@ for p in (0, 1, 5, 50):
 # Legendre polynomials themselves are exact, generated by the three-term
 # recurrence, and orthogonal with norm 2/(2j+1):
 p3, p5 = legendre_poly(3), legendre_poly(5)
+
+
+def integral(poly):
+    """Exact integral over [-1, 1] from the antiderivative."""
+    F = poly.antiderivative()
+    return F(1) - F(-1)
+
+
 print("\nP_3 coefficients:", list(p3.coeffs))
-print("int P_3 P_5 over [-1,1]:", (p3 * p5).integral(-1, 1))
-print("int P_5^2 over [-1,1]: ", (p5 * p5).integral(-1, 1))
+print("int P_3 P_5 over [-1,1]:", integral(p3 * p5))
+print("int P_5^2 over [-1,1]: ", integral(p5 * p5))

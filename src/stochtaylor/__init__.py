@@ -15,7 +15,7 @@ from .coefficients import (
     scaled_coefficient,
 )
 from .errors import ErrorResult, IndexPattern, error_bound_kfact, exact_error
-from .legendre import BasisFn, RationalPoly, eval_phi, legendre_poly, poly_antiderivative
+from .legendre import RationalPoly, eval_phi, legendre_poly
 from .planner import (
     Condition,
     TruncationPlan,
@@ -48,7 +48,6 @@ from .schemes import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisFn",
     "CoeffTensor",
     "Condition",
     "ErrorResult",
@@ -80,7 +79,6 @@ __all__ = [
     "minimal_order",
     "minimal_order_kfact",
     "parseval_defect",
-    "poly_antiderivative",
     "reproduce_table",
     "sample_ito",
     "sample_stratonovich",

@@ -246,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tables", help="reproduce a published table")
     p.add_argument("--id", type=int, required=True)
-    add_format(p)
+    p.add_argument("--format", choices=("md", "csv"), default="md")
     p.set_defaults(fn=_cmd_tables)
 
     p = sub.add_parser("check", help="distinct-case dominance hypothesis check")

@@ -379,7 +379,9 @@ def get_tensor(profile, p: int) -> CoeffTensor:
 
 
 def clear_caches() -> None:
-    """Drop all memoized polynomials, coefficients, and tensors."""
+    """Drop all memoized polynomials, coefficients, tensors, and errors."""
+    from .errors import _norm_err_cache  # errors imports this module
+
     with _cache_lock:
         _prefix_cache.clear()
         _bar_cache.clear()
@@ -387,3 +389,4 @@ def clear_caches() -> None:
     with _tensor_lock:
         _tensor_cache.clear()
     _norm_cache.clear()
+    _norm_err_cache.clear()

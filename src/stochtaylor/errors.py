@@ -115,14 +115,6 @@ class IndexPattern:
 
         yield from rec(0, [None] * self.k)
 
-    def representative_indices(self) -> Tuple[int, ...]:
-        """Smallest index assignment realizing this pattern (1-based)."""
-        out = [0] * self.k
-        for comp, block in enumerate(self.blocks, start=1):
-            for pos in block:
-                out[pos - 1] = comp
-        return tuple(out)
-
     def __eq__(self, other):
         return (
             isinstance(other, IndexPattern)

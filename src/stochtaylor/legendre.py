@@ -23,11 +23,9 @@ except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
 
 __all__ = [
     "RationalPoly",
-    "BasisFn",
     "rational",
     "legendre_poly",
     "eval_phi",
-    "poly_antiderivative",
 ]
 
 _R0 = rational(0)
@@ -114,20 +112,6 @@ class RationalPoly:
                 out[i + 1] = c / (i + 1)
         return RationalPoly(out)
 
-    def integral(self, a, b):
-        """Exact definite integral over [a, b] for rational endpoints."""
-        F = self.antiderivative()
-        return F(rational(b)) - F(rational(a))
-
-    def reflected(self):
-        """p(-x)."""
-        return RationalPoly([(-c if i % 2 else c) for i, c in enumerate(self.coeffs)])
-
-
-def poly_antiderivative(p: RationalPoly) -> RationalPoly:
-    """Exact antiderivative of ``p`` with zero constant term."""
-    return p.antiderivative()
-
 
 _legendre_cache: list[RationalPoly] = [RationalPoly([_R1]), RationalPoly([_R0, _R1])]
 _legendre_lock = threading.Lock()
@@ -189,23 +173,3 @@ def eval_phi(j: int, s: float, t: float, T: float) -> float:
     z = min(1.0, max(-1.0, z))
     return math.sqrt((2 * j + 1) / (T - t)) * legendre_value(j, z)
 
-
-class BasisFn:
-    """One member of the orthonormal Legendre system on (t, T)."""
-
-    __slots__ = ("degree", "t", "T")
-
-    def __init__(self, degree: int, t: float, T: float):
-        if degree < 0:
-            raise ValueError("degree must be non-negative")
-        if T <= t:
-            raise ValueError("interval must satisfy T > t")
-        self.degree = degree
-        self.t = t
-        self.T = T
-
-    def __call__(self, s: float) -> float:
-        return eval_phi(self.degree, s, self.t, self.T)
-
-    def __repr__(self):
-        return f"BasisFn(degree={self.degree}, interval=({self.t}, {self.T}))"

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fnmatch import fnmatchcase
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 from .coefficients import WeightProfile, exact_norm, get_tensor
-from .errors import IndexPattern, error_bound_kfact, exact_error, normalized_error
+from .errors import IndexPattern, normalized_error
 
 __all__ = [
     "Condition",
@@ -67,23 +68,7 @@ class PlannerCapError(RuntimeError):
     """Search exceeded the configured cap without satisfying the condition."""
 
 
-def _search_cap(k: int) -> int:
-    return DEFAULT_CAP_K2 if k <= 2 else DEFAULT_CAP_HIGH
-
-
 _GROWTH_CHUNK = {1: 64, 2: 32, 3: 8, 4: 3, 5: 2, 6: 1}
-
-
-def _grown_tensor(profile: WeightProfile, p: int, cap: int):
-    """Tensor covering at least cap ``p``, grown in blocks so ascending
-    searches do not rebuild per step; block size shrinks with multiplicity."""
-    step = _GROWTH_CHUNK[profile.k]
-    return get_tensor(profile, min(cap, max(p, step * (p // step + 1))))
-
-
-def _pair_defect_exact(p: int) -> Fraction:
-    # Parseval defect of the all-zero-weight pair integral: telescoped sum
-    return Fraction(1, 4 * (2 * p + 1))
 
 
 def _minimal_order_pair_closed_form(condition: Condition, T_minus_t: float) -> int:
@@ -92,7 +77,8 @@ def _minimal_order_pair_closed_form(condition: Condition, T_minus_t: float) -> i
     thr = Fraction(condition.constant) * h**condition.exponent / h**2
 
     def ok(p):
-        d = _pair_defect_exact(p)
+        # Parseval defect of the all-zero-weight pair integral: telescoped sum
+        d = Fraction(1, 4 * (2 * p + 1))
         return d < thr if condition.strict else d <= thr
 
     # defect(p) = 1/(4(2p+1)) <= thr  <=>  2p+1 >= 1/(4 thr); jump close,
@@ -103,6 +89,22 @@ def _minimal_order_pair_closed_form(condition: Condition, T_minus_t: float) -> i
     while p > 0 and ok(p - 1):
         p -= 1
     return p
+
+
+def _ascend(profile: WeightProfile, search_cap: int | None, ok, goal: str) -> int:
+    """First cap ``p = 0, 1, ...`` with ``ok(p, tensor)``; the tensor grows in
+    blocks that shrink with multiplicity, so no step rebuilds it."""
+    cap = search_cap if search_cap is not None else (
+        DEFAULT_CAP_K2 if profile.k <= 2 else DEFAULT_CAP_HIGH)
+    step = _GROWTH_CHUNK[profile.k]
+    p = 0
+    while p <= cap:
+        tensor = get_tensor(profile, min(cap, max(p, step * (p // step + 1))))
+        while p <= tensor.p:
+            if ok(p, tensor):
+                return p
+            p += 1
+    raise PlannerCapError(f"no cap <= {cap} satisfies {goal}")
 
 
 def minimal_order(profile, pattern: IndexPattern, condition: Condition,
@@ -117,44 +119,33 @@ def minimal_order(profile, pattern: IndexPattern, condition: Condition,
         raise ValueError("T_minus_t must be positive")
     if profile == (0, 0) and pattern.is_distinct:
         return _minimal_order_pair_closed_form(condition, T_minus_t)
-    cap = search_cap if search_cap is not None else _search_cap(profile.k)
     exponent = profile.k + 2 * profile.total_weight
     norm_threshold = condition.threshold(T_minus_t) / T_minus_t**exponent
-    p = 0
-    while p <= cap:
-        tensor = _grown_tensor(profile, p, cap)
-        while p <= tensor.p:
-            err = normalized_error(profile, pattern, p, tensor)
-            ok = err < norm_threshold if condition.strict else err <= norm_threshold
-            if ok:
-                return p
-            p += 1
-    raise PlannerCapError(
-        f"no cap <= {cap} satisfies E <= {condition.constant}*(T-t)^{condition.exponent} "
-        f"for profile {profile}, step {T_minus_t}"
-    )
+
+    def ok(p, tensor):
+        err = normalized_error(profile, pattern, p, tensor)
+        return err < norm_threshold if condition.strict else err <= norm_threshold
+
+    return _ascend(profile, search_cap, ok,
+                   f"E <= {condition.constant}*(T-t)^{condition.exponent} "
+                   f"for profile {profile}, step {T_minus_t}")
 
 
 def minimal_order_kfact(profile, condition: Condition, T_minus_t: float,
                         search_cap: int | None = None) -> int:
     """Smallest cap under the factorial bound ``k!(I_k - sum C^2) <= thr``."""
     profile = WeightProfile(profile)
-    cap = search_cap if search_cap is not None else _search_cap(profile.k)
     thr = condition.threshold(T_minus_t)
     kfact = math.factorial(profile.k)
     exponent = profile.k + 2 * profile.total_weight
     norm = float(exact_norm(profile).value)
-    p = 0
-    while p <= cap:
-        tensor = _grown_tensor(profile, p, cap)
-        while p <= tensor.p:
-            defect = norm - tensor.squared_sum_float(p)
-            bound = kfact * defect * T_minus_t**exponent
-            ok = bound < thr if condition.strict else bound <= thr
-            if ok:
-                return p
-            p += 1
-    raise PlannerCapError(f"factorial-bound search exceeded cap {cap}")
+
+    def ok(p, tensor):
+        defect = norm - tensor.squared_sum_float(p)
+        bound = kfact * defect * T_minus_t**exponent
+        return bound < thr if condition.strict else bound <= thr
+
+    return _ascend(profile, search_cap, ok, f"the factorial bound for {profile}, step {T_minus_t}")
 
 
 # ---------------------------------------------------------------------------
@@ -163,6 +154,7 @@ def minimal_order_kfact(profile, condition: Condition, T_minus_t: float,
 
 _K2_PROFILES = {"a": (0, 0), "b": (0, 1), "c": (1, 0)}
 _K3_PROFILES = {"a": (0, 0, 0), "b": (0, 0, 1), "c": (0, 1, 0), "d": (1, 0, 0)}
+_PROFILE_LETTERS = {v: key for table in (_K2_PROFILES, _K3_PROFILES) for key, v in table.items()}
 
 _K3_CASES: List[Tuple[str, Tuple[Tuple[int, ...], ...]]] = [
     ("3.1", ((1,), (2,), (3,))),
@@ -255,12 +247,26 @@ def case_catalog(k: int, letter: str = "") -> List[Tuple[str, WeightProfile, Ind
     ]
 
 
+def _published_cases(k, letter=""):
+    """Catalog minus the all-equal case when every weight is zero (that
+    error vanishes identically and the published grids omit the row)."""
+    return [
+        (lab, pr, pat)
+        for lab, pr, pat in case_catalog(k, letter)
+        if not (pr.total_weight == 0 and len(pat.blocks) == 1)
+    ]
+
+
+def _family(label: str) -> Tuple[int, str]:
+    """Multiplicity and weight letter of a case label, e.g. 3, "a" for 3.3.1.a."""
+    last = label.rsplit(".", 1)[-1]
+    return int(label.split(".", 1)[0]), last if last.isalpha() else ""
+
+
 def case_pattern(label: str) -> Tuple[WeightProfile, IndexPattern]:
     """Look up one case by its published label, e.g. ``"3.3.1.a"``."""
     try:
-        k = int(label.split(".", 1)[0])
-        letter = label.rsplit(".", 1)[-1] if label.rsplit(".", 1)[-1].isalpha() else ""
-        catalog = case_catalog(k, letter)
+        catalog = case_catalog(*_family(label))
     except (ValueError, KeyError) as exc:
         raise KeyError(f"unknown case label {label!r}") from exc
     for lab, profile, pattern in catalog:
@@ -311,11 +317,7 @@ def check_hypothesis(profile, condition: Condition, T_minus_t: float) -> Hypothe
     """
     profile = WeightProfile(profile)
     k = profile.k
-    letter = ""
-    if k == 2:
-        letter = {v: key for key, v in _K2_PROFILES.items()}[tuple(profile)]
-    elif k == 3:
-        letter = {v: key for key, v in _K3_PROFILES.items()}[tuple(profile)]
+    letter = _PROFILE_LETTERS[tuple(profile)] if k in (2, 3) else ""
     catalog = _published_cases(k, letter)
     distinct_q = minimal_order(profile, IndexPattern.distinct(k), condition, T_minus_t)
     exponent = k + 2 * profile.total_weight
@@ -447,98 +449,6 @@ def _fmt_step(x: float) -> str:
     return f"{x:g}"
 
 
-_POW2 = [2.0**-e for e in range(0, 13)]
-
-
-def _q_table(table_id, caption, families, cols, exponent, note_cells=()) -> Table:
-    """Generic minimal-order grid: ``families`` is a list of (letter, k) or
-    explicit (label, profile, pattern) case lists."""
-    cond = Condition(exponent)
-    row_labels: List[str] = []
-    rows: List[List[int]] = []
-    notes = []
-    for label, profile, pattern in families:
-        row_labels.append(f"q({label})")
-        rows.append([minimal_order(profile, pattern, cond, h) for h in cols])
-    table = Table(table_id, caption, [_fmt_step(h) for h in cols], row_labels, rows, notes)
-    for row_label, col_label, published in note_cells:
-        computed = table.cell(row_label, col_label)
-        notes.append(
-            f"known discrepancy: published value at {row_label}, T-t = {col_label} "
-            f"is {published}; the condition as stated gives {computed}"
-        )
-    return table
-
-
-def _e_table(table_id, caption, families, cols, q_of_col, normalization_note="") -> Table:
-    """Error-value grid: every case evaluated at the distinct-case cap."""
-    row_labels: List[str] = []
-    rows: List[List] = []
-    for label, profile, pattern in families:
-        row_labels.append(f"q({label})")
-        rows.append([q_of_col[i] for i in range(len(cols))])
-        row_labels.append("E")
-        rows.append(
-            [normalized_error(profile, pattern, q_of_col[i]) for i in range(len(cols))]
-        )
-    notes = [normalization_note] if normalization_note else []
-    return Table(table_id, caption, [_fmt_step(h) for h in cols], row_labels, rows, notes)
-
-
-def _cases(k, letter, labels=None):
-    cat = case_catalog(k, letter)
-    if labels is None:
-        return cat
-    index = {lab: (lab, pr, pat) for lab, pr, pat in cat}
-    return [index[lab] for lab in labels]
-
-
-def _published_cases(k, letter=""):
-    """Catalog minus the all-equal case when every weight is zero (that
-    error vanishes identically and the published grids omit the row)."""
-    return [
-        (lab, pr, pat)
-        for lab, pr, pat in case_catalog(k, letter)
-        if not (pr.total_weight == 0 and len(pat.blocks) == 1)
-    ]
-
-
-def _table_1() -> Table:
-    cols = [0.011, 0.008, 0.0045, 0.0035, 0.0027, 0.0025]
-    fams = _cases(3, "a", ["3.1.a", "3.3.1.a", "3.3.2.a", "3.3.3.a"])
-    return _q_table(1, "Triple integral, all-zero weights; order-1.5 condition.",
-                    fams, cols, 4)
-
-
-def _table_2() -> Table:
-    cols = [0.010, 0.005, 0.0025]
-    fams = _cases(2, "b") + _cases(2, "c")
-    return _q_table(2, "Weighted pair integrals; order-2.0 condition.", fams, cols, 5)
-
-
-def _table_3() -> Table:
-    h = 0.01
-    col_labels = ["001", "010", "100"]
-    row_labels, rows = [], []
-    cond = Condition(6)
-    per_letter = {
-        letter: {lab: minimal_order(pr, pat, cond, h) for lab, pr, pat in _cases(3, letter)}
-        for letter in "bcd"
-    }
-    base_labels = ["3.1", "3.2", "3.3.1", "3.3.2", "3.3.3"]
-    for base in base_labels:
-        row_labels.append(f"q({base}.x)")
-        rows.append([per_letter["b"][f"{base}.b"], per_letter["c"][f"{base}.c"],
-                     per_letter["d"][f"{base}.d"]])
-    return Table(3, "Weighted triple integrals at T-t = 0.01; order-2.5 condition.",
-                 col_labels, row_labels, rows)
-
-
-def _table_4() -> Table:
-    cols = [0.011, 0.008, 0.0045, 0.0042, 0.0040]
-    return _q_table(4, "Quadruple integral; order-2.0 condition.", _published_cases(4), cols, 5)
-
-
 # Published cells that violate the position-reflection symmetry of the
 # all-zero-weight error (reversing positions m -> k+1-m preserves the error,
 # so case 5.3.1 equals 5.3.10 and 5.7.1 equals 5.7.7 identically; the
@@ -555,171 +465,134 @@ _K5_REFLECTION_DISCREPANCIES = {
 }
 
 
-def _reflection_notes(table_id: int) -> List[str]:
-    cells = _K5_REFLECTION_DISCREPANCIES.get(table_id)
-    if not cells:
-        return []
-    listed = ", ".join(f"{k}={v}" for k, v in cells.items())
-    return [
-        "known discrepancy: published values "
-        f"{listed} break the position-reflection symmetry (5.3.1 == 5.3.10, "
-        "5.7.1 == 5.7.7) implied by the case formulas; computed values shown"
-    ]
+class _Spec(NamedTuple):
+    """One published table, as data.
+
+    ``kind`` is ``q`` (minimal cap of every case at every step), ``e`` (error
+    of every case at the distinct-case cap of the first case) or ``p``
+    (exact-error vs factorial-bound caps of the first case).  ``cases`` are
+    glob patterns over published case labels; a pattern ending in ``.x``
+    takes each column's weight letter from ``letters``.  ``published`` lists
+    (row, column, printed value) cells the condition as stated does not give.
+    """
+
+    kind: str
+    caption: str
+    exponent: int
+    steps: tuple
+    cases: tuple
+    letters: str = ""
+    published: tuple = ()
 
 
-def _table_5_9(table_id: int) -> Table:
-    steps = {5: 0.011, 6: 0.008, 7: 0.0045, 8: 0.0042, 9: 0.0035}
-    h = steps[table_id]
-    table = _q_table(table_id,
-                     f"Quintuple integral at T-t = {h}; order-2.5 condition.",
-                     _published_cases(5), [h], 6)
-    table.notes += _reflection_notes(table_id)
-    return table
+_K3_STEPS = (0.011, 0.008, 0.0045, 0.0035, 0.0027, 0.0025)
+_K5_STEPS = (0.011, 0.008, 0.0045, 0.0042, 0.0035)
+# the scheme tables 10-13 list growing prefixes of these families
+_SCHEME_CASES = ("2.*.a", "3.*.a", "2.*.b", "2.*.c", "4.*", "3.*.b", "3.*.c", "3.*.d", "5.*")
+_HALF_STEP_CELL = (("q(2.1.a)", "2^-1", 1),)
 
-
-def _table_10() -> Table:
-    cols = [0.5, 2.0**-4, 2.0**-8, 2.0**-12]
-    t = _q_table(10, "Order-1.0 scheme: pair integral caps.",
-                 _cases(2, "a", ["2.1.a"]), cols, 3,
-                 note_cells=[("q(2.1.a)", "2^-1", 1)])
-    return t
-
-
-def _table_11() -> Table:
-    cols = [0.5, 2.0**-3, 2.0**-5, 2.0**-8]
-    fams = _cases(2, "a", ["2.1.a"]) + _cases(3, "a", ["3.1.a", "3.3.1.a", "3.3.2.a", "3.3.3.a"])
-    return _q_table(11, "Order-1.5 scheme: pair and triple integral caps.",
-                    fams, cols, 4,
-                    note_cells=[("q(2.1.a)", "2^-1", 1)])
-
-
-def _table_12() -> Table:
-    cols = [0.5, 0.25, 0.125, 0.0625]
-    fams = (_cases(2, "a", ["2.1.a"])
-            + _cases(3, "a", ["3.1.a", "3.3.1.a", "3.3.2.a", "3.3.3.a"])
-            + _cases(2, "b") + _cases(2, "c") + _published_cases(4))
-    return _q_table(12, "Order-2.0 scheme: integral caps.", fams, cols, 5)
-
-
-def _table_13() -> Table:
-    cols = [2.0**-1, 2.0**-1.5, 2.0**-2, 2.0**-2.5]
-    fams = (_cases(2, "a", ["2.1.a"])
-            + _cases(3, "a", ["3.1.a", "3.3.1.a", "3.3.2.a", "3.3.3.a"])
-            + _cases(2, "b") + _cases(2, "c") + _published_cases(4)
-            + _cases(3, "b") + _cases(3, "c") + _cases(3, "d") + _published_cases(5))
-    return _q_table(13, "Order-2.5 scheme: integral caps.", fams, cols, 6)
-
-
-def _table_14() -> Table:
-    cols = [0.011, 0.008, 0.0045, 0.0035, 0.0027, 0.0025]
-    cond = Condition(4)
-    q = [minimal_order((0, 0, 0), IndexPattern.distinct(3), cond, h) for h in cols]
-    fams = _cases(3, "a", ["3.1.a", "3.3.1.a", "3.3.2.a", "3.3.3.a"])
-    return _e_table(14, "Triple integral: errors at the distinct-case cap.",
-                    fams, cols, q, "E normalized by (T-t)^3")
-
-
-def _table_15() -> Table:
-    cols = [0.011, 0.008, 0.0045, 0.0042]
-    cond = Condition(5)
-    q = [minimal_order((0,) * 4, IndexPattern.distinct(4), cond, h) for h in cols]
-    return _e_table(15, "Quadruple integral: errors at the distinct-case cap.",
-                    _published_cases(4), cols, q, "E normalized by (T-t)^4")
-
-
-def _table_16() -> Table:
-    cols = [0.010, 0.005, 0.0025]
-    cond = Condition(5)
-    q = [minimal_order((0, 1), IndexPattern.distinct(2), cond, h) for h in cols]
-    fams = _cases(2, "b") + _cases(2, "c")
-    return _e_table(16, "Weighted pair integrals: errors at the distinct-case cap.",
-                    fams, cols, q, "E normalized by (T-t)^4")
-
-
-def _table_17_21(table_id: int) -> Table:
-    steps = {17: 0.011, 18: 0.008, 19: 0.0045, 20: 0.0042, 21: 0.0035}
-    h = steps[table_id]
-    cond = Condition(6)
-    q = [minimal_order((0,) * 5, IndexPattern.distinct(5), cond, h)]
-    table = _e_table(table_id,
-                     f"Quintuple integral at T-t = {h}: errors at the distinct-case cap.",
-                     _published_cases(5), [h], q, "E normalized by (T-t)^5")
-    table.notes += _reflection_notes(table_id)
-    return table
-
-
-def _table_22() -> Table:
-    h = 0.01
-    cond = Condition(6)
-    col_labels = ["001", "010", "100"]
-    qs = {
-        letter: minimal_order(_K3_PROFILES[letter], IndexPattern.distinct(3), cond, h)
-        for letter in "bcd"
-    }
-    row_labels, rows = [], []
-    base_labels = ["3.1", "3.2", "3.3.1", "3.3.2", "3.3.3"]
-    catalogs = {letter: {lab: (pr, pat) for lab, pr, pat in _cases(3, letter)} for letter in "bcd"}
-    for base in base_labels:
-        row_labels.append(f"q({base}.x)")
-        rows.append([qs["b"], qs["c"], qs["d"]])
-        row_labels.append("E")
-        row = []
-        for letter in "bcd":
-            pr, pat = catalogs[letter][f"{base}.{letter}"]
-            row.append(normalized_error(pr, pat, qs[letter]))
-        rows.append(row)
-    return Table(22, "Weighted triple integrals at T-t = 0.01: errors at the "
-                     "distinct-case cap.", col_labels, row_labels, rows,
-                 ["E normalized by (T-t)^5"])
-
-
-def _comparison_table(table_id, caption, profile, exponent, cols) -> Table:
-    profile = WeightProfile(profile)
-    k = profile.k
-    cond = Condition(exponent)
-    distinct = IndexPattern.distinct(k)
-    ps = [minimal_order(profile, distinct, cond, h) for h in cols]
-    pks = [minimal_order_kfact(profile, cond, h) for h in cols]
-    rows = [ps, [(p + 1) ** k for p in ps], pks, [(p + 1) ** k for p in pks]]
-    row_labels = ["p", f"(p+1)^{k}", "p'", f"(p'+1)^{k}"]
-    return Table(table_id, caption, [_fmt_step(h) for h in cols], row_labels, rows,
-                 ["p: exact-error condition; p': factorial-bound condition"])
-
-
-def _table_23() -> Table:
-    return _comparison_table(23, "Exact-error vs factorial-bound caps, triple integral.",
-                             (0, 0, 0), 4, [2.0**-e for e in range(1, 7)])
-
-
-def _table_24() -> Table:
-    return _comparison_table(24, "Exact-error vs factorial-bound caps, quadruple integral.",
-                             (0,) * 4, 5, [2.0 ** (-e / 2) for e in range(2, 8)])
-
-
-def _table_25() -> Table:
-    return _comparison_table(25, "Exact-error vs factorial-bound caps, quintuple integral.",
-                             (0,) * 5, 6, [2.0 ** (-e / 8) for e in (1, 2, 4, 6, 8)])
-
-
-_TABLE_BUILDERS = {
-    1: _table_1, 2: _table_2, 3: _table_3, 4: _table_4,
-    5: lambda: _table_5_9(5), 6: lambda: _table_5_9(6), 7: lambda: _table_5_9(7),
-    8: lambda: _table_5_9(8), 9: lambda: _table_5_9(9),
-    10: _table_10, 11: _table_11, 12: _table_12, 13: _table_13,
-    14: _table_14, 15: _table_15, 16: _table_16,
-    17: lambda: _table_17_21(17), 18: lambda: _table_17_21(18),
-    19: lambda: _table_17_21(19), 20: lambda: _table_17_21(20),
-    21: lambda: _table_17_21(21),
-    22: _table_22, 23: _table_23, 24: _table_24, 25: _table_25,
+_TABLES = {
+    1: _Spec("q", "Triple integral, all-zero weights; order-1.5 condition.", 4,
+             _K3_STEPS, ("3.*.a",)),
+    2: _Spec("q", "Weighted pair integrals; order-2.0 condition.", 5,
+             (0.010, 0.005, 0.0025), ("2.*.b", "2.*.c")),
+    3: _Spec("q", "Weighted triple integrals at T-t = 0.01; order-2.5 condition.", 6,
+             (0.01,) * 3, ("3.*.x",), letters="bcd"),
+    4: _Spec("q", "Quadruple integral; order-2.0 condition.", 5,
+             (0.011, 0.008, 0.0045, 0.0042, 0.0040), ("4.*",)),
+    **{tid: _Spec("q", f"Quintuple integral at T-t = {h}; order-2.5 condition.", 6,
+                  (h,), ("5.*",))
+       for tid, h in zip(range(5, 10), _K5_STEPS)},
+    10: _Spec("q", "Order-1.0 scheme: pair integral caps.", 3,
+              (0.5, 2.0**-4, 2.0**-8, 2.0**-12), _SCHEME_CASES[:1], published=_HALF_STEP_CELL),
+    11: _Spec("q", "Order-1.5 scheme: pair and triple integral caps.", 4,
+              (0.5, 2.0**-3, 2.0**-5, 2.0**-8), _SCHEME_CASES[:2], published=_HALF_STEP_CELL),
+    12: _Spec("q", "Order-2.0 scheme: integral caps.", 5,
+              (0.5, 0.25, 0.125, 0.0625), _SCHEME_CASES[:5]),
+    13: _Spec("q", "Order-2.5 scheme: integral caps.", 6,
+              (2.0**-1, 2.0**-1.5, 2.0**-2, 2.0**-2.5), _SCHEME_CASES),
+    14: _Spec("e", "Triple integral: errors at the distinct-case cap.", 4,
+              _K3_STEPS, ("3.*.a",)),
+    15: _Spec("e", "Quadruple integral: errors at the distinct-case cap.", 5,
+              (0.011, 0.008, 0.0045, 0.0042), ("4.*",)),
+    16: _Spec("e", "Weighted pair integrals: errors at the distinct-case cap.", 5,
+              (0.010, 0.005, 0.0025), ("2.*.b", "2.*.c")),
+    **{tid: _Spec("e", f"Quintuple integral at T-t = {h}: errors at the distinct-case cap.",
+                  6, (h,), ("5.*",))
+       for tid, h in zip(range(17, 22), _K5_STEPS)},
+    22: _Spec("e", "Weighted triple integrals at T-t = 0.01: errors at the distinct-case cap.",
+              6, (0.01,) * 3, ("3.*.x",), letters="bcd"),
+    23: _Spec("p", "Exact-error vs factorial-bound caps, triple integral.", 4,
+              tuple(2.0**-e for e in range(1, 7)), ("3.1.a",)),
+    24: _Spec("p", "Exact-error vs factorial-bound caps, quadruple integral.", 5,
+              tuple(2.0 ** (-e / 2) for e in range(2, 8)), ("4.1",)),
+    25: _Spec("p", "Exact-error vs factorial-bound caps, quintuple integral.", 6,
+              tuple(2.0 ** (-e / 8) for e in (1, 2, 4, 6, 8)), ("5.1",)),
 }
 
-TABLE_IDS = tuple(sorted(_TABLE_BUILDERS))
+TABLE_IDS = tuple(_TABLES)
+
+
+def _case_rows(spec: _Spec):
+    """(row label, one (profile, pattern) per column) for the spec's cases."""
+    rows = []
+    for glob in spec.cases:
+        per_col = []
+        for letter in spec.letters or [""] * len(spec.steps):
+            g = glob[:-1] + letter if glob.endswith(".x") else glob
+            k, fam = _family(g)
+            per_col.append([c for c in _published_cases(k, fam) if fnmatchcase(c[0], g)])
+        for cases in zip(*per_col):
+            label = cases[0][0][:-1] + "x" if glob.endswith(".x") else cases[0][0]
+            rows.append((label, [(pr, pat) for _, pr, pat in cases]))
+    return rows
 
 
 def reproduce_table(table_id: int) -> Table:
     """Recompute one published table (1..25) from scratch."""
-    try:
-        builder = _TABLE_BUILDERS[table_id]
-    except KeyError:
-        raise ValueError(f"table id must be in 1..25, got {table_id}") from None
-    return builder()
+    spec = _TABLES.get(table_id)
+    if spec is None:
+        raise ValueError(f"table id must be in 1..25, got {table_id}")
+    cond = Condition(spec.exponent)
+    case_rows = _case_rows(spec)
+    first = case_rows[0][1]
+    col_labels = ([pr.label() for pr, _ in first] if spec.letters
+                  else [_fmt_step(h) for h in spec.steps])
+    row_labels, rows, notes = [], [], []
+    if spec.kind == "q":
+        for label, cases in case_rows:
+            row_labels.append(f"q({label})")
+            rows.append([minimal_order(pr, pat, cond, h)
+                         for (pr, pat), h in zip(cases, spec.steps)])
+    else:
+        # both other kinds start from the distinct-case cap of the first case
+        qs = [minimal_order(pr, IndexPattern.distinct(pr.k), cond, h)
+              for (pr, _), h in zip(first, spec.steps)]
+        profile = first[0][0]
+        k = profile.k
+        if spec.kind == "e":
+            for label, cases in case_rows:
+                row_labels += [f"q({label})", "E"]
+                rows += [list(qs), [normalized_error(pr, pat, q)
+                                    for (pr, pat), q in zip(cases, qs)]]
+            notes.append(f"E normalized by (T-t)^{k + 2 * profile.total_weight}")
+        else:
+            pks = [minimal_order_kfact(profile, cond, h) for h in spec.steps]
+            row_labels = ["p", f"(p+1)^{k}", "p'", f"(p'+1)^{k}"]
+            rows = [qs, [(p + 1) ** k for p in qs], pks, [(p + 1) ** k for p in pks]]
+            notes.append("p: exact-error condition; p': factorial-bound condition")
+    table = Table(table_id, spec.caption, col_labels, row_labels, rows, notes)
+    for row_label, col_label, printed in spec.published:
+        notes.append(
+            f"known discrepancy: published value at {row_label}, T-t = {col_label} "
+            f"is {printed}; the condition as stated gives {table.cell(row_label, col_label)}"
+        )
+    cells = _K5_REFLECTION_DISCREPANCIES.get(table_id)
+    if cells:
+        listed = ", ".join(f"{k}={v}" for k, v in cells.items())
+        notes.append(
+            "known discrepancy: published values "
+            f"{listed} break the position-reflection symmetry (5.3.1 == 5.3.10, "
+            "5.7.1 == 5.7.7) implied by the case formulas; computed values shown"
+        )
+    return table

@@ -34,7 +34,6 @@ __all__ = [
     "estimate_strong_order",
     "gbm_problem",
     "bilinear_problem",
-    "euler_step_from_milstein",
 ]
 
 SCHEMES = ("euler", "milstein", "t15", "t20", "t25")
@@ -439,8 +438,3 @@ def bilinear_problem(A: np.ndarray | None = None, B1: np.ndarray | None = None,
 
     ops = {w: entry(w) for w in _WORDS["t25"]}
     return SdeProblem(n, 2, ops, exact_solution=None, name="bilinear2d")
-
-
-def euler_step_from_milstein(problem: SdeProblem, x, t, ctx: StepContext):
-    """The Euler baseline: the order-1.0 step minus its pair-integral term."""
-    return step(problem, "euler", x, t, ctx)

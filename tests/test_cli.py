@@ -88,6 +88,12 @@ class TestSubcommands:
     def test_tables_bad_id(self):
         assert run_cli("tables", "--id", "99")[0] == 1
 
+    def test_tables_jsonl_is_usage_error(self, capsys):
+        # tables print markdown or CSV only; jsonl must not silently fall back
+        code, out = run_cli("tables", "--id", "10", "--format", "jsonl")
+        assert code == 2
+        assert out == ""
+
     def test_plan(self):
         code, out = run_cli("plan", "--scheme", "2.0", "--step", "0.25")
         assert code == 0

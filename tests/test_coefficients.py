@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legval
 
 from stochtaylor.coefficients import (
     WeightProfile,
@@ -15,7 +16,6 @@ from stochtaylor.coefficients import (
     scaled_coefficient,
     squared_sum,
 )
-from stochtaylor.legendre import legendre_poly
 
 
 def quadrature_bar(exponents, j):
@@ -23,23 +23,26 @@ def quadrature_bar(exponents, j):
 
     Integrates prod_m P_{j_m}(x_m) (1+x_m)^{l_m} over
     -1 <= x_1 <= ... <= x_k <= 1 (innermost first), exactly for polynomials
-    since the node count exceeds every degree involved.
+    since the node count exceeds every degree involved.  Each level runs on
+    every node of the levels outside it at once; P_j comes from numpy.
     """
     nodes, weights = np.polynomial.legendre.leggauss(40)
 
     def rec(m, upper):
-        # integral over x_m in [-1, upper] of factor * rec(m-1, x_m)
-        x = 0.5 * (upper + 1.0) * nodes + 0.5 * (upper - 1.0)
-        w = 0.5 * (upper + 1.0) * weights
-        pj = legendre_poly(j[m])
-        fac = np.array([pj(float(xi)) for xi in x]) * (1.0 + x) ** exponents[m]
-        if m == 0:
-            return float((w * fac).sum())
-        inner = np.array([rec(m - 1, float(xi)) for xi in x])
-        return float((w * fac * inner).sum())
+        # integral over x_m in [-1, u] of factor * rec(m-1, x_m), for every
+        # entry u of ``upper``; split so no array exceeds 40^4 entries
+        if upper.size > 40**3:
+            return np.stack([rec(m, u) for u in upper])
+        u = upper[..., None]
+        x = 0.5 * (u + 1.0) * nodes + 0.5 * (u - 1.0)
+        w = 0.5 * (u + 1.0) * weights
+        fac = legval(x, [0] * j[m] + [1]) * (1.0 + x) ** exponents[m]
+        if m > 0:
+            fac = fac * rec(m - 1, x)
+        return (w * fac).sum(axis=-1)
 
     sign = (-1) ** sum(exponents)
-    return sign * rec(len(j) - 1, 1.0)
+    return sign * float(rec(len(j) - 1, np.array(1.0)))
 
 
 class TestBarCoefficient:

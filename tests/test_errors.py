@@ -13,7 +13,8 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from stochtaylor.coefficients import bar_coefficient, exact_norm, get_tensor
+from stochtaylor import coefficients, errors
+from stochtaylor.coefficients import bar_coefficient, clear_caches, exact_norm, get_tensor
 from stochtaylor.errors import (
     IndexPattern,
     accurate_sum,
@@ -324,6 +325,27 @@ class TestStructure:
         rng = np.random.default_rng(0)
         arr = rng.standard_normal(5000) * 10.0 ** rng.integers(-8, 8, 5000)
         assert accurate_sum(arr) == pytest.approx(math.fsum(arr.tolist()), rel=1e-15)
+
+    def test_clear_caches_drops_errors(self, monkeypatch):
+        # private empty caches, so clearing them leaves the rest of the suite warm
+        for name in ("_prefix_cache", "_bar_cache", "_moment_cache", "_tensor_cache",
+                     "_norm_cache"):
+            monkeypatch.setattr(coefficients, name, {})
+        monkeypatch.setattr(errors, "_norm_err_cache", {})
+        profile, pattern = (0, 1, 0), IndexPattern.distinct(3)
+        first = normalized_error(profile, pattern, 2)
+        builds = []
+
+        def counting_get_tensor(prof, p):
+            builds.append((prof, p))
+            return get_tensor(prof, p)
+
+        monkeypatch.setattr(errors, "get_tensor", counting_get_tensor)
+        assert normalized_error(profile, pattern, 2) == first
+        assert builds == []  # warm: served from the error cache
+        clear_caches()
+        assert normalized_error(profile, pattern, 2) == first
+        assert builds == [((0, 1, 0), 2)]  # cold again: recomputed from a new tensor
 
     def test_result_fields(self):
         e = exact_error((0, 1), IndexPattern.distinct(2), 3, 0.5)

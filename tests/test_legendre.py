@@ -5,12 +5,10 @@ import numpy as np
 import pytest
 
 from stochtaylor.legendre import (
-    BasisFn,
     RationalPoly,
     eval_phi,
     legendre_poly,
     legendre_value,
-    poly_antiderivative,
     rational,
 )
 
@@ -55,17 +53,17 @@ def test_normalization_at_one(j):
 
 @pytest.mark.parametrize("j", range(0, 21))
 def test_parity(j):
-    p = legendre_poly(j)
-    reflected = p.reflected()
-    expect = p if j % 2 == 0 else -p
-    assert reflected == expect
+    # P_j(-x) = (-1)^j P_j(x): only powers of the same parity as j appear
+    coeffs = legendre_poly(j).coeffs
+    assert all(c == 0 for i, c in enumerate(coeffs) if (i + j) % 2)
+    assert coeffs[j] != 0
 
 
 def test_orthogonality_exact():
     for j in range(0, 21):
         for jp in range(j, 21):
-            prod = legendre_poly(j) * legendre_poly(jp)
-            val = prod.integral(-1, 1)
+            F = (legendre_poly(j) * legendre_poly(jp)).antiderivative()
+            val = F(rational(1)) - F(rational(-1))
             if j == jp:
                 assert val == rational(2, 2 * j + 1)
             else:
@@ -75,9 +73,9 @@ def test_orthogonality_exact():
 def test_antiderivative_examples():
     one = RationalPoly([1])
     x = RationalPoly([0, 1])
-    assert poly_antiderivative(one) == x
-    assert poly_antiderivative(x) == RationalPoly([0, 0, rational(1, 2)])
-    assert poly_antiderivative(RationalPoly([0, 0, 3])) == RationalPoly([0, 0, 0, 1])
+    assert one.antiderivative() == x
+    assert x.antiderivative() == RationalPoly([0, 0, rational(1, 2)])
+    assert RationalPoly([0, 0, 3]).antiderivative() == RationalPoly([0, 0, 0, 1])
 
 
 def test_eval_phi_examples():
@@ -112,17 +110,9 @@ def test_basis_fn_normalized():
     x, w = np.polynomial.legendre.leggauss(60)
     s = 0.5 * (T - t) * x + 0.5 * (T + t)
     for j in (0, 1, 5, 17):
-        phi = BasisFn(j, t, T)
-        vals = np.array([phi(si) for si in s])
+        vals = np.array([eval_phi(j, si, t, T) for si in s])
         integral = 0.5 * (T - t) * float((w * vals**2).sum())
         assert integral == pytest.approx(1.0, abs=1e-12)
-
-
-def test_basis_fn_validation():
-    with pytest.raises(ValueError):
-        BasisFn(-1, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        BasisFn(0, 1.0, 0.5)
 
 
 def test_degree_ceiling():
