@@ -11,9 +11,9 @@ from fractions import Fraction
 from stochtaylor import (
     bar_coefficient,
     exact_norm,
-    legendre_poly,
     parseval_defect,
     scaled_coefficient,
+    shifted_legendre,
 )
 
 # The reduced coefficient at all-zero degrees is the ordered-simplex volume:
@@ -46,17 +46,17 @@ for p in (0, 1, 5, 50):
     assert d == Fraction(1, 4 * (2 * p + 1))
     print(f"  p = {p:3d}: {d}")
 
-# Legendre polynomials themselves are exact, generated by the three-term
-# recurrence, and orthogonal with norm 2/(2j+1):
-p3, p5 = legendre_poly(3), legendre_poly(5)
+# The kernel integrates in u = (1 + x) / 2 on [0, 1], where the Legendre
+# polynomials have integer coefficients (-1)^(j+i) C(j,i) C(j+i,i) and are
+# orthogonal with norm 1/(2j+1):
+p3, p5 = shifted_legendre(3), shifted_legendre(5)
 
 
-def integral(poly):
-    """Exact integral over [-1, 1] from the antiderivative."""
-    F = poly.antiderivative()
-    return F(1) - F(-1)
+def integral(a, b):
+    """Exact integral over [0, 1] of the product of two polynomials."""
+    return sum(Fraction(ai * bl, i + l + 1) for i, ai in enumerate(a) for l, bl in enumerate(b))
 
 
-print("\nP_3 coefficients:", list(p3.coeffs))
-print("int P_3 P_5 over [-1,1]:", integral(p3 * p5))
-print("int P_5^2 over [-1,1]: ", integral(p5 * p5))
+print("\nP~_3 coefficients:", list(p3))
+print("int P~_3 P~_5 over [0,1]:", integral(p3, p5))
+print("int P~_5^2 over [0,1]: ", integral(p5, p5))

@@ -15,7 +15,7 @@ from .coefficients import (
     scaled_coefficient,
 )
 from .errors import ErrorResult, IndexPattern, error_bound_kfact, exact_error
-from .legendre import RationalPoly, eval_phi, legendre_poly
+from .legendre import eval_phi, shifted_legendre
 from .planner import (
     Condition,
     TruncationPlan,
@@ -56,7 +56,6 @@ __all__ = [
     "IndexPattern",
     "IntegralSpec",
     "PairPartition",
-    "RationalPoly",
     "SdeProblem",
     "StepContext",
     "TruncationPlan",
@@ -75,7 +74,6 @@ __all__ = [
     "gbm_problem",
     "integrate",
     "integrate_batch",
-    "legendre_poly",
     "minimal_order",
     "minimal_order_kfact",
     "parseval_defect",
@@ -84,5 +82,6 @@ __all__ = [
     "sample_stratonovich",
     "scaled_coefficient",
     "scheme_plan",
+    "shifted_legendre",
     "step",
 ]

@@ -5,7 +5,8 @@ The kernel of a multiplicity-k iterated integral with monomial time weights
 coefficient against a product of shifted orthonormal Legendre polynomials
 factors into an exact rational "reduced" coefficient (an iterated polynomial
 integral over the simplex of ``[-1, 1]^k``) times a closed-form scaling in
-``T - t`` and the degrees.  Everything here is exact rational arithmetic; no
+``T - t`` and the degrees.  After the change of variable u = (1 + x) / 2 the
+integration runs in Python integers over one tracked denominator; no
 quadrature is involved.
 
 Sign convention: the reduced coefficient absorbs ``(-1)**sum(l)`` so that the
@@ -18,11 +19,12 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from .legendre import RationalPoly, legendre_poly, rational
+from .legendre import shifted_legendre
 
 __all__ = [
     "WeightProfile",
@@ -40,9 +42,6 @@ __all__ = [
 
 MAX_MULTIPLICITY = 6
 DEFAULT_ENTRY_CEILING = 10**8
-
-_R0 = rational(0)
-_R1 = rational(1)
 
 
 class WeightProfile(tuple):
@@ -73,80 +72,77 @@ def _profile(profile) -> WeightProfile:
 
 
 # ---------------------------------------------------------------------------
-# reduced coefficients over the [-1, 1] simplex
+# reduced coefficients, integrated in u = (1 + x) / 2 over the [0, 1] simplex
 # ---------------------------------------------------------------------------
 
-# antiderivative-from--1 of P_j * (1+x)^l * (previous level), keyed by the
+# F_m(u) = int_0^u P~_{j_m}(s) s^{l_m} F_{m-1}(s) ds with F_0 = 1, as integer
+# numerators of u^0, u^1, ... over one denominator, keyed by the
 # ((l_1, j_1), ..., (l_m, j_m)) prefix (all but the outermost variable);
 # shared across tensors and profiles
-_prefix_cache: Dict[tuple, RationalPoly] = {}
+_prefix_cache: Dict[tuple, tuple] = {}
 # finished reduced coefficients, keyed by (profile, j-tuple)
-_bar_cache: Dict[tuple, object] = {}
-# moment vectors: _moment_cache[(j, l)][d] = int_{-1}^{1} P_j (1+x)^l x^d dx
-_moment_cache: Dict[tuple, list] = {}
+_bar_cache: Dict[tuple, Fraction] = {}
 _cache_lock = threading.Lock()
 
-_ONE_PLUS_X = RationalPoly([_R1, _R1])
 
-
-def _weight_poly(l: int) -> RationalPoly:
-    p = RationalPoly([_R1])
-    for _ in range(l):
-        p = p * _ONE_PLUS_X
-    return p
-
-
-def _antideriv_from_m1(p: RationalPoly) -> RationalPoly:
-    """Antiderivative vanishing at x = -1."""
-    F = p.antiderivative()
-    return F - RationalPoly([F(rational(-1))])
-
-
-def _prefix_poly(steps: tuple) -> RationalPoly:
+def _prefix_poly(steps: tuple) -> tuple:
     """Running simplex integral after the first ``len(steps)`` factors.
 
-    ``steps`` is a tuple of (l, j) pairs, innermost variable first.
+    ``steps`` is a tuple of (l, j) pairs, innermost variable first.  Returns
+    ``(nums, den)``, meaning ``sum_i nums[i] u^i / den`` in lowest terms.
     """
     if not steps:
-        return RationalPoly([_R1])
+        return (1,), 1
     cached = _prefix_cache.get(steps)
     if cached is not None:
         return cached
-    inner = _prefix_poly(steps[:-1])
+    inner, den = _prefix_poly(steps[:-1])
     l, j = steps[-1]
-    integrand = legendre_poly(j) * _weight_poly(l) * inner
-    result = _antideriv_from_m1(integrand)
+    prod = [0] * (len(inner) + j)
+    for a, ca in enumerate(shifted_legendre(j)):
+        for b, cb in enumerate(inner):
+            if cb:
+                prod[a + b] += ca * cb
+    # the integrand's u^i term is prod[i - l]; it integrates to u^(i+1)/(i+1)
+    scale = math.lcm(*range(l + 1, l + len(prod) + 1))
+    nums = [0] * (l + 1) + [c * (scale // (i + l + 1)) for i, c in enumerate(prod)]
+    den *= scale
+    g = math.gcd(den, *nums)
+    result = tuple(c // g for c in nums), den // g
     with _cache_lock:
         _prefix_cache.setdefault(steps, result)
     return result
 
 
-def _moments(j: int, l: int, dmax: int) -> list:
-    """Moment vector of P_j (1+x)^l against powers x^d, d <= dmax."""
-    key = (j, l)
-    mom = _moment_cache.get(key)
-    if mom is None or len(mom) <= dmax:
-        poly = legendre_poly(j) * _weight_poly(l)
-        mom = []
-        for d in range(dmax + 1):
-            s = _R0
-            for i, c in enumerate(poly.coeffs):
-                if c and (i + d) % 2 == 0:
-                    s += c * rational(2, i + d + 1)
-            mom.append(s)
-        with _cache_lock:
-            _moment_cache[key] = mom
-    return mom
+def _moment_dot(nums: tuple, l: int, j: int) -> tuple:
+    """``sum_i nums[i] * int_0^1 u^(i+l) P~_j(u) du`` as (numerator, denominator).
+
+    The moment of u^n is ``n!^2 / ((n-j)! (n+j+1)!)`` for n >= j and zero
+    below (orthogonality); consecutive moments differ by the factor
+    ``(n+1)^2 / ((n+1-j) (n+j+2))``, so Horner's rule sums from the top.
+    """
+    lo, hi = max(j, l), len(nums) - 1 + l
+    if hi < lo:
+        return 0, 1
+    num, den = nums[hi - l], 1
+    for n in range(hi - 1, lo - 1, -1):
+        q = (n + 1 - j) * (n + j + 2)
+        num = nums[n - l] * den * q + (n + 1) ** 2 * num
+        den *= q
+    f = math.factorial(lo)
+    return num * f * f, den * math.factorial(lo - j) * math.factorial(lo + j + 1)
 
 
-def bar_coefficient(profile, j):
+def bar_coefficient(profile, j) -> Fraction:
     """Exact reduced Fourier-Legendre coefficient for multi-index ``j``.
 
     Computes ``(-1)**sum(l)`` times the iterated integral over the ordered
     simplex ``-1 <= x_1 <= ... <= x_k <= 1`` of
-    ``prod_m P_{j_m}(x_m) (1 + x_m)^{l_m}``, with ``j_1`` innermost.
-    Inner variables are integrated symbolically; the outermost integral is a
-    dot product against a cached moment vector.
+    ``prod_m P_{j_m}(x_m) (1 + x_m)^{l_m}``, with ``j_1`` innermost.  With
+    x = 2u - 1 that is ``(-1)**L 2**(k+L)`` times the same integral of
+    ``prod_m P~_{j_m}(u_m) u_m^{l_m}`` over ``0 <= u_1 <= ... <= u_k <= 1``.
+    Inner variables are integrated in integers; the outermost integral is a
+    dot product against closed-form moments.
     """
     profile = _profile(profile)
     j = tuple(int(v) for v in j)
@@ -158,14 +154,10 @@ def bar_coefficient(profile, j):
     cached = _bar_cache.get(key)
     if cached is not None:
         return cached
-    inner = _prefix_poly(tuple(zip(profile[:-1], j[:-1])))
-    mom = _moments(j[-1], profile[-1], inner.degree if inner.degree >= 0 else 0)
-    value = _R0
-    for d, c in enumerate(inner.coeffs):
-        if c and mom[d]:
-            value += c * mom[d]
-    if profile.total_weight % 2:
-        value = -value
+    nums, den = _prefix_poly(tuple(zip(profile[:-1], j[:-1])))
+    num, mden = _moment_dot(nums, profile[-1], j[-1])
+    k, L = profile.k, profile.total_weight
+    value = Fraction((-1) ** L * 2 ** (k + L) * num, den * mden)
     with _cache_lock:
         _bar_cache.setdefault(key, value)
     return value
@@ -187,13 +179,13 @@ def scaled_coefficient(profile, j, T_minus_t: float) -> float:
     return scale * T_minus_t ** (k / 2 + L) * 2.0 ** -(k + L) * float(bar)
 
 
-def _normalized_rational_sq(profile: WeightProfile, j, bar) -> object:
+def _normalized_rational_sq(profile: WeightProfile, j, bar) -> Fraction:
     """Exact square of the scaled coefficient at T - t = 1 (rational)."""
     prod = 1
     for jm in j:
         prod *= 2 * jm + 1
     k, L = profile.k, profile.total_weight
-    return rational(prod, 4 ** (k + L)) * bar * bar
+    return Fraction(prod, 4 ** (k + L)) * bar * bar
 
 
 @dataclass(frozen=True)
@@ -201,7 +193,7 @@ class ExactNorm:
     """Exact L2 norm prefactor: ``I_k = value * (T-t)^(k + 2 sum l)``."""
 
     profile: WeightProfile
-    value: object  # exact rational
+    value: Fraction
 
     @property
     def exponent(self) -> int:
@@ -217,18 +209,19 @@ _norm_cache: Dict[WeightProfile, ExactNorm] = {}
 def exact_norm(profile) -> ExactNorm:
     """Exact squared L2 norm of the iterated-integral kernel.
 
-    Obtained by symbolic iterated integration of ``prod (1 + x_m)^(2 l_m)``
-    over the ordered simplex, scaled by ``2^-(k + 2 sum l)``.
+    At T - t = 1 the kernel is ``prod_m (-u_m)^(l_m)`` on the ordered
+    simplex of [0, 1]^k (u_m the offset from t), so the iterated integral of
+    its square is ``1 / prod_m s_m`` with ``s_m = sum_{i <= m} (2 l_i + 1)``.
     """
     profile = _profile(profile)
     norm = _norm_cache.get(profile)
     if norm is not None:
         return norm
-    running = RationalPoly([_R1])
+    den, s = 1, 0
     for l in profile:
-        running = _antideriv_from_m1(_weight_poly(2 * l) * running)
-    k, L = profile.k, profile.total_weight
-    value = running(_R1) * rational(1, 2 ** (k + 2 * L))
+        s += 2 * l + 1
+        den *= s
+    value = Fraction(1, den)
     norm = ExactNorm(profile, value)
     _norm_cache[profile] = norm
     return norm
@@ -259,7 +252,7 @@ class CoeffTensor:
     (j_1 .. j_k, innermost first) to the exact rational reduced coefficient.
     """
 
-    def __init__(self, profile: WeightProfile, p: int, values: Dict[tuple, object]):
+    def __init__(self, profile: WeightProfile, p: int, values: Dict[tuple, Fraction]):
         self.profile = _profile(profile)
         self.p = int(p)
         self.values = values
@@ -294,15 +287,15 @@ class CoeffTensor:
             self._scaled = arr
         return self._scaled
 
-    def squared_sum_rational(self, p: int):
+    def squared_sum_exact(self, p: int):
         """Exact rational Parseval sum over the sub-box {0..p}^k at T-t = 1."""
         if p > self.p:
             raise ValueError(f"requested p={p} exceeds tensor cap {self.p}")
         if self._sq_sums is None:
-            by_level = [_R0] * (self.p + 1)
+            by_level = [Fraction(0)] * (self.p + 1)
             for j, bar in self.values.items():
                 by_level[max(j)] += _normalized_rational_sq(self.profile, j, bar)
-            acc = _R0
+            acc = Fraction(0)
             partial = []
             for level_sum in by_level:
                 acc = acc + level_sum
@@ -346,14 +339,14 @@ def squared_sum(profile, p: int, T_minus_t: float = 1.0) -> float:
     profile = _profile(profile)
     t = get_tensor(profile, p)
     exponent = profile.k + 2 * profile.total_weight
-    return float(t.squared_sum_rational(p)) * T_minus_t**exponent
+    return float(t.squared_sum_exact(p)) * T_minus_t**exponent
 
 
 def parseval_defect(profile, p: int):
     """Exact rational defect ``I_k - sum C^2`` at T - t = 1."""
     profile = _profile(profile)
     t = get_tensor(profile, p)
-    return exact_norm(profile).value - t.squared_sum_rational(p)
+    return exact_norm(profile).value - t.squared_sum_exact(p)
 
 
 # largest tensor built so far per profile, reused by planner and errors
@@ -385,7 +378,6 @@ def clear_caches() -> None:
     with _cache_lock:
         _prefix_cache.clear()
         _bar_cache.clear()
-        _moment_cache.clear()
     with _tensor_lock:
         _tensor_cache.clear()
     _norm_cache.clear()

@@ -100,7 +100,7 @@ def _ascend(profile: WeightProfile, search_cap: int | None, ok, goal: str) -> in
     p = 0
     while p <= cap:
         tensor = get_tensor(profile, min(cap, max(p, step * (p // step + 1))))
-        while p <= tensor.p:
+        while p <= min(tensor.p, cap):
             if ok(p, tensor):
                 return p
             p += 1
@@ -317,13 +317,18 @@ def check_hypothesis(profile, condition: Condition, T_minus_t: float) -> Hypothe
     """
     profile = WeightProfile(profile)
     k = profile.k
-    letter = _PROFILE_LETTERS[tuple(profile)] if k in (2, 3) else ""
-    catalog = _published_cases(k, letter)
+    letter = _PROFILE_LETTERS.get(tuple(profile), "")
+    if k in (2, 3) and not letter:
+        listed = ", ".join(map(str, (_K2_PROFILES if k == 2 else _K3_PROFILES).values()))
+        raise ValueError(f"no published cases for profile {tuple(profile)}; "
+                         f"multiplicity {k} supports {listed}")
+    catalog = case_catalog(k, letter)
     distinct_q = minimal_order(profile, IndexPattern.distinct(k), condition, T_minus_t)
     exponent = k + 2 * profile.total_weight
     results = []
     for label, _, pattern in catalog:
-        if pattern.is_distinct:
+        # the all-equal error vanishes identically only for all-zero weights
+        if pattern.is_distinct or (profile.total_weight == 0 and len(pattern.blocks) == 1):
             continue
         q = minimal_order(profile, pattern, condition, T_minus_t)
         err = normalized_error(profile, pattern, distinct_q) * T_minus_t**exponent

@@ -157,9 +157,9 @@ def _bracket_terms(spec: IntegralSpec, p: int, panel: GaussianPanel,
     """Sum over the truncated box of coefficient times Wick bracket."""
     k = spec.k
     idx = spec.wiener_indices
-    zs = [panel.component(idx[m_], p) for m_ in range(k)]
+    zs = [panel.component(i, p) for i in idx]
     letters = "abcdef"[:k]
-    total = np.einsum(_expr(letters, k), coeff, *zs, optimize=True)
+    total = _plain_product(coeff, zs)
     # pair-partition corrections
     n_paths = zs[0].shape[0]
     for part in _all_partitions(k):
@@ -178,8 +178,11 @@ def _bracket_terms(spec: IntegralSpec, p: int, panel: GaussianPanel,
     return total
 
 
-def _expr(letters: str, k: int) -> str:
-    return ",".join([letters] + [f"z{c}" for c in letters]) + "->z"
+def _plain_product(coeff: np.ndarray, zs) -> np.ndarray:
+    """Per-path sum over the box of coefficient times the plain zeta product."""
+    letters = "abcdef"[:len(zs)]
+    expr = ",".join([letters] + [f"z{c}" for c in letters]) + "->z"
+    return np.einsum(expr, coeff, *zs, optimize=True)
 
 
 def _coeff_array(spec: IntegralSpec, p: int) -> np.ndarray:
@@ -234,13 +237,8 @@ def sample_stratonovich(spec: IntegralSpec, p: int, panel: GaussianPanel):
     For multiplicity 2 with equal components this differs from the Ito value
     by the truncated diagonal sum of coefficients.
     """
-    coeff = _coeff_array(spec, p)
-    k = spec.k
-    idx = spec.wiener_indices
-    zs = [panel.component(idx[m_], p) for m_ in range(k)]
-    letters = "abcdef"[:k]
-    expr = ",".join([letters] + [f"z{c}" for c in letters]) + "->z"
-    total = np.einsum(expr, coeff, *zs, optimize=True)
+    zs = [panel.component(i, p) for i in spec.wiener_indices]
+    total = _plain_product(_coeff_array(spec, p), zs)
     return total if panel.batched else float(total[0])
 
 

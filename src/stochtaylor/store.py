@@ -14,9 +14,10 @@ from __future__ import annotations
 import hashlib
 import os
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
-from .coefficients import CoeffTensor, WeightProfile, bar_coefficient, rational
+from .coefficients import CoeffTensor, WeightProfile, bar_coefficient
 
 __all__ = [
     "save",
@@ -156,7 +157,7 @@ def load(path, profile, p: int) -> CoeffTensor:
         except ValueError as exc:
             raise StoreFormatError(f"{path}: bad record {line!r}") from exc
         if max(j) <= p:
-            values[j] = rational(int(num), int(den))
+            values[j] = Fraction(int(num), int(den))
     if len(values) != (p + 1) ** profile.k:
         raise StoreTruncatedError(f"{path}: sub-box {p} incomplete")
     return CoeffTensor(profile, p, values)

@@ -141,6 +141,13 @@ class TestSubcommands:
         assert "distinct q = 8" in out
         assert "dominated" in out.splitlines()[-1]
 
+    def test_check_unpublished_profile(self, capsys):
+        code, out = run_cli("check", "--weights", "2,0", "--order-exp", "4", "--step", "0.1")
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "no published cases for profile (2, 0)" in err
+        assert "(0, 0), (0, 1), (1, 0)" in err
+
     def test_integrate(self):
         code, out = run_cli("integrate", "--scheme", "milstein", "--problem", "gbm",
                             "--h", "0.25", "--T", "1", "--paths", "500", "--seed", "4")

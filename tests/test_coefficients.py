@@ -1,11 +1,16 @@
+import hashlib
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import legval
 
+import stochtaylor
 from stochtaylor.coefficients import (
     WeightProfile,
     bar_coefficient,
@@ -228,3 +233,58 @@ class TestParseval:
         h = 0.83
         total = sum(scaled_coefficient((1,), (j,), h) ** 2 for j in range(2))
         assert total == pytest.approx(h**3 / 3, rel=1e-14)
+
+
+# sha256 of repr(sorted((j, numerator, denominator))) over the full box,
+# recorded from the rational-polynomial kernel in x = 2u - 1 that the integer
+# kernel replaced
+KERNEL_DIGESTS = [
+    ((0, 1), 12, "e416d8167213da37400f50b70499b66129463dc96dc11d46fe6d6ddbc50d7b8a"),
+    ((1, 0), 12, "db46f53f5bf07b53d4b14459eb3549d69f08d268fe0ff3c43e031e6325f55ed9"),
+    ((0, 0, 0), 8, "860ec66a1074da080bf49030ca43030ef4baee2b016031143123db7f6c148423"),
+    ((0, 0, 1), 5, "51830f51a49c7e3abd4ff7b67977efefe7e619a5b80e96a9d37897930193bd44"),
+    ((0, 1, 0), 5, "a2639b2ef71f7b985726d34bb8eba3c55200793c70d55577bd458ad6aca0678f"),
+    ((1, 0, 0), 5, "65d7c96428553ba44886a4ea5ed899801a54fcf2750374803fddc0f10af8a613"),
+    ((0,) * 4, 4, "39d6b1e5ef18101abd37924f1763c14d85325ab59c7570e7ab6f4d480d25e133"),
+    ((0,) * 5, 3, "47cb90a2c08f579e3ddcba4e0427370a9007adab889bdb958041076b5d398948"),
+]
+
+
+class TestKernel:
+    @pytest.mark.parametrize("profile, p, digest", KERNEL_DIGESTS)
+    def test_full_box_digest(self, profile, p, digest):
+        tensor = build_tensor(profile, p)
+        triples = sorted((j, v.numerator, v.denominator) for j, v in tensor.values.items())
+        assert hashlib.sha256(repr(triples).encode()).hexdigest() == digest
+
+    def test_values_are_fractions(self):
+        assert type(bar_coefficient((0, 1, 0), (2, 1, 3))) is Fraction
+        assert type(bar_coefficient((0, 0), (5, 0))) is Fraction  # zero by orthogonality
+        assert type(exact_norm((1, 0, 2)).value) is Fraction
+
+    def test_norm_closed_form(self):
+        # 1 / prod_m sum_{i <= m} (2 l_i + 1)
+        assert exact_norm((0, 0, 0)).value == Fraction(1, 6)
+        assert exact_norm((0, 1)).value == Fraction(1, 1 * 4)
+        assert exact_norm((1, 0)).value == Fraction(1, 3 * 4)
+        assert exact_norm((2, 0, 1)).value == Fraction(1, 5 * 6 * 9)
+
+    def test_gmpy2_never_imported(self):
+        # a meta-path spy records every module the package asks for
+        code = (
+            "import sys\n"
+            "class Spy:\n"
+            "    seen = []\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        Spy.seen.append(name)\n"
+            "sys.meta_path.insert(0, Spy())\n"
+            "import stochtaylor\n"
+            "from stochtaylor import build_tensor, exact_norm, parseval_defect\n"
+            "build_tensor((0, 1, 0), 3); exact_norm((1, 2)); parseval_defect((0, 0), 4)\n"
+            "assert 'stochtaylor.coefficients' in Spy.seen\n"
+            "assert not [n for n in Spy.seen if n.split('.')[0] == 'gmpy2'], Spy.seen\n"
+        )
+        src = str(Path(stochtaylor.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", code], cwd=src,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

@@ -4,78 +4,99 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stochtaylor.legendre import (
-    RationalPoly,
-    eval_phi,
-    legendre_poly,
-    legendre_value,
-    rational,
-)
+from stochtaylor.coefficients import _prefix_poly
+from stochtaylor.legendre import eval_phi, legendre_value, shifted_legendre
 
 
-def rodrigues_legendre(j):
-    """Independent oracle: P_j = d^j/dx^j (x^2-1)^j / (2^j j!)."""
-    # (x^2 - 1)^j by repeated multiplication
-    poly = [Fraction(1)]
-    base = [Fraction(-1), Fraction(0), Fraction(1)]
-    for _ in range(j):
-        out = [Fraction(0)] * (len(poly) + 2)
+def rodrigues_shifted(j):
+    """Independent oracle: P~_j(u) = d^j/du^j (u^2 - u)^j / j!."""
+    poly = [1]
+    for _ in range(j):  # times (u^2 - u)
+        out = [0] * (len(poly) + 2)
         for i, a in enumerate(poly):
-            for l, b in enumerate(base):
-                out[i + l] += a * b
+            out[i + 1] -= a
+            out[i + 2] += a
         poly = out
     for _ in range(j):  # differentiate j times
         poly = [i * c for i, c in enumerate(poly)][1:]
-    scale = Fraction(1, 2**j * math.factorial(j))
-    return [c * scale for c in poly]
+    return [Fraction(c, math.factorial(j)) for c in poly]
+
+
+def evaluate(coeffs, u):
+    acc = Fraction(0)
+    for c in reversed(coeffs):
+        acc = acc * u + c
+    return acc
+
+
+def integral_01(coeffs):
+    """Exact integral over [0, 1] of a power-basis polynomial."""
+    return sum(Fraction(c, i + 1) for i, c in enumerate(coeffs))
+
+
+def multiply(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for l, bl in enumerate(b):
+            out[i + l] += ai * bl
+    return out
 
 
 @pytest.mark.parametrize("j", range(0, 21))
 def test_legendre_matches_rodrigues(j):
-    got = legendre_poly(j).coeffs
-    expect = rodrigues_legendre(j)
-    while expect and expect[-1] == 0:
-        expect.pop()
-    assert len(got) == len(expect)
-    assert all(g == e for g, e in zip(got, expect))
+    got = shifted_legendre(j)
+    assert all(isinstance(c, int) for c in got)
+    assert list(got) == rodrigues_shifted(j)
 
 
 def test_low_degree_values():
-    assert legendre_poly(0).coeffs == (rational(1),)
-    assert legendre_poly(1).coeffs == (rational(0), rational(1))
-    assert legendre_poly(2).coeffs == (rational(-1, 2), rational(0), rational(3, 2))
+    assert shifted_legendre(0) == (1,)
+    assert shifted_legendre(1) == (-1, 2)
+    assert shifted_legendre(2) == (1, -6, 6)
 
 
 @pytest.mark.parametrize("j", range(0, 21))
 def test_normalization_at_one(j):
-    assert legendre_poly(j)(rational(1)) == 1
+    assert sum(shifted_legendre(j)) == 1
 
 
 @pytest.mark.parametrize("j", range(0, 21))
 def test_parity(j):
-    # P_j(-x) = (-1)^j P_j(x): only powers of the same parity as j appear
-    coeffs = legendre_poly(j).coeffs
-    assert all(c == 0 for i, c in enumerate(coeffs) if (i + j) % 2)
-    assert coeffs[j] != 0
+    # P_j(-x) = (-1)^j P_j(x) reads P~_j(1 - u) = (-1)^j P~_j(u) after the shift
+    coeffs = shifted_legendre(j)
+    reflected = [0] * (j + 1)
+    for i, c in enumerate(coeffs):  # c (1 - u)^i
+        for m in range(i + 1):
+            reflected[m] += c * math.comb(i, m) * (-1) ** m
+    assert reflected == [(-1) ** j * c for c in coeffs]
+
+
+def test_antiderivative_examples():
+    # the kernel's integer antiderivative from 0: (numerators of u^0, u^1, ...), denominator
+    assert _prefix_poly(((0, 0),)) == ((0, 1), 1)  # int_0^u 1 = u
+    assert _prefix_poly(((1, 0),)) == ((0, 0, 1), 2)  # int_0^u s = u^2/2
+    assert _prefix_poly(((0, 1),)) == ((0, -1, 1), 1)  # int_0^u (2s - 1) = u^2 - u
+    # int_0^u s (s^2 - s) ds = u^4/4 - u^3/3
+    assert _prefix_poly(((0, 1), (1, 0))) == ((0, 0, 0, -4, 3), 12)
 
 
 def test_orthogonality_exact():
     for j in range(0, 21):
         for jp in range(j, 21):
-            F = (legendre_poly(j) * legendre_poly(jp)).antiderivative()
-            val = F(rational(1)) - F(rational(-1))
-            if j == jp:
-                assert val == rational(2, 2 * j + 1)
+            val = integral_01(multiply(shifted_legendre(j), shifted_legendre(jp)))
+            assert val == (Fraction(1, 2 * j + 1) if j == jp else 0)
+
+
+def test_moment_closed_form():
+    # int_0^1 u^n P~_j(u) du = n!^2 / ((n-j)! (n+j+1)!) for n >= j, else 0
+    for j in range(13):
+        for n in range(13):
+            direct = integral_01([0] * n + list(shifted_legendre(j)))
+            if n < j:
+                assert direct == 0
             else:
-                assert val == 0
-
-
-def test_antiderivative_examples():
-    one = RationalPoly([1])
-    x = RationalPoly([0, 1])
-    assert one.antiderivative() == x
-    assert x.antiderivative() == RationalPoly([0, 0, rational(1, 2)])
-    assert RationalPoly([0, 0, 3]).antiderivative() == RationalPoly([0, 0, 0, 1])
+                f = math.factorial
+                assert direct == Fraction(f(n) ** 2, f(n - j) * f(n + j + 1))
 
 
 def test_eval_phi_examples():
@@ -94,13 +115,12 @@ def test_eval_phi_domain_errors():
 
 
 def test_recurrence_matches_exact_polynomial():
-    # stability contract: float recurrence vs exact rational evaluation
+    # stability contract: float recurrence vs exact evaluation at u = (1+x)/2
     grid = np.linspace(-1.0, 1.0, 101)
     for j in range(31):
-        exact = legendre_poly(j)
+        coeffs = shifted_legendre(j)
         for x in grid:
-            fx = Fraction(float(x))
-            ref = exact(rational(fx.numerator, fx.denominator))
+            ref = evaluate(coeffs, (1 + Fraction(float(x))) / 2)
             assert abs(legendre_value(j, float(x)) - float(ref)) < 1e-10
 
 
@@ -116,7 +136,8 @@ def test_basis_fn_normalized():
 
 
 def test_degree_ceiling():
+    assert len(shifted_legendre(200)) == 201
     with pytest.raises(ValueError):
-        legendre_poly(201)
+        shifted_legendre(201)
     with pytest.raises(ValueError):
-        legendre_poly(-1)
+        shifted_legendre(-1)

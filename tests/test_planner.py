@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from stochtaylor import coefficients
+from stochtaylor.coefficients import get_tensor
 from stochtaylor.errors import IndexPattern, exact_error
 from stochtaylor.planner import (
     Condition,
@@ -84,6 +86,16 @@ class TestMinimalOrder:
             minimal_order((0, 0, 0), IndexPattern.distinct(3), Condition(4), 0.0005,
                           search_cap=10)
 
+    def test_cap_guard_holds_with_larger_tensor_cached(self, monkeypatch):
+        monkeypatch.setattr(coefficients, "_tensor_cache", {})
+        args = ((0, 0, 1), IndexPattern.distinct(3), Condition(6), 0.01)
+        with pytest.raises(PlannerCapError):
+            minimal_order(*args, search_cap=2)
+        get_tensor((0, 0, 1), 12)
+        with pytest.raises(PlannerCapError):
+            minimal_order(*args, search_cap=2)
+        assert minimal_order(*args) == 6
+
     def test_kfact_order_dominates(self):
         cond = Condition(4)
         for h in (0.5, 0.25, 0.125):
@@ -142,6 +154,19 @@ class TestHypothesis:
         assert rep.distinct_q == 0
         assert rep.dominated
         assert all(c.q == 0 for c in rep.cases)
+
+    def test_weighted_quadruple_keeps_all_equal_case(self):
+        # the all-equal error vanishes only for all-zero weights
+        rep = check_hypothesis((0, 0, 0, 1), Condition(5), 0.1)
+        cases = {c.label: c for c in rep.cases}
+        assert len(cases) == 14
+        assert cases["4.2"].error_at_distinct_q > 0
+
+    def test_unpublished_weighted_profile(self):
+        with pytest.raises(ValueError, match=r"\(2, 0\).*\(0, 0\), \(0, 1\), \(1, 0\)"):
+            check_hypothesis((2, 0), Condition(4), 0.1)
+        with pytest.raises(ValueError, match=r"\(0, 0, 0\), \(0, 0, 1\)"):
+            check_hypothesis((1, 1, 0), Condition(6), 0.1)
 
     def test_weighted_pair(self):
         rep = check_hypothesis((0, 1), Condition(5), 0.005)
