@@ -40,7 +40,6 @@ from .schemes import (
     bilinear_problem,
     estimate_strong_order,
     gbm_problem,
-    integrate,
     integrate_batch,
     step,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "exact_error",
     "exact_norm",
     "gbm_problem",
-    "integrate",
     "integrate_batch",
     "minimal_order",
     "minimal_order_kfact",

@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands: ``coeffs build|verify``, ``error``, ``truncate``, ``plan``,
-``tables``, ``mse``, ``integrate``, ``order``.  Every run echoes its resolved
+Subcommands: ``error``, ``truncate``, ``plan``, ``tables``, ``check``,
+``mse``, ``integrate``, ``order``.  Every run echoes its resolved
 configuration as comment lines so output is reproducible byte-for-byte from
 the same argv and seed.  Exit codes: 0 success, 1 domain error, 2 usage
 error.
@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from . import coefficients, errors, planner, sampling, schemes, store
+from . import coefficients, errors, planner, sampling, schemes
 
 _FORMATS = ("md", "csv", "jsonl")
 
@@ -44,19 +44,6 @@ def _parse_pattern(args, k):
         blocks = [tuple(int(c) for c in b) for b in args.pattern.split("|")]
         return errors.IndexPattern(k, blocks)
     return errors.IndexPattern.from_indices(int(v) for v in args.pattern.split(","))
-
-
-def _cmd_coeffs(args):
-    profile = _parse_weights(args.weights)
-    path = args.path or store.store_path(profile, args.p, args.store)
-    if args.action == "build":
-        tensor = coefficients.build_tensor(profile, args.p)
-        n = store.save(tensor, path, force=args.force)
-        print(f"wrote {n} records to {path}")
-    else:
-        n = store.verify(path, profile, args.p, samples=args.samples, seed=args.seed)
-        print(f"verified {n} records of {path} against fresh symbolic integration")
-    return 0
 
 
 def _cmd_error(args):
@@ -206,18 +193,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=_FORMATS, default="md")
 
-    p = sub.add_parser("coeffs", help="build or verify the coefficient store")
-    p.add_argument("action", choices=["build", "verify"])
-    p.add_argument("--weights", required=True, help="comma-separated exponents, e.g. 0,0,1")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--store", default=None, help="store directory (default: "
-                   "$STOCHTAYLOR_STORE or user cache)")
-    p.add_argument("--path", default=None, help="explicit file path")
-    p.add_argument("--force", action="store_true")
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_coeffs)
-
     p = sub.add_parser("error", help="exact mean-square truncation error")
     p.add_argument("--weights", required=True)
     p.add_argument("--pattern", default="distinct",
@@ -297,8 +272,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.fn(args)
-    except (ValueError, KeyError, FileExistsError, FileNotFoundError,
-            store.StoreError, planner.PlannerCapError, ArithmeticError) as exc:
+    except (ValueError, KeyError, planner.PlannerCapError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,6 +32,7 @@ __all__ = [
     "ExactNorm",
     "bar_coefficient",
     "scaled_coefficient",
+    "check_step",
     "exact_norm",
     "build_tensor",
     "parseval_defect",
@@ -163,14 +164,19 @@ def bar_coefficient(profile, j) -> Fraction:
     return value
 
 
+def check_step(T_minus_t) -> None:
+    """Reject a step length ``T - t`` that is not a positive finite number."""
+    if not (math.isfinite(T_minus_t) and T_minus_t > 0):
+        raise ValueError(f"T_minus_t must be positive and finite, got {T_minus_t!r}")
+
+
 def scaled_coefficient(profile, j, T_minus_t: float) -> float:
     """Real Fourier coefficient of the Gaussian product expansion.
 
     ``C = prod_m sqrt(2 j_m + 1) * (T-t)^(k/2 + sum l) * 2^-(k + sum l) * barC``.
     """
     profile = _profile(profile)
-    if T_minus_t <= 0:
-        raise ValueError("T_minus_t must be positive")
+    check_step(T_minus_t)
     bar = bar_coefficient(profile, j)
     scale = 1.0
     for jm in j:

@@ -23,6 +23,7 @@ import numpy as np
 from .coefficients import (
     CoeffTensor,
     WeightProfile,
+    check_step,
     exact_norm,
     get_tensor,
 )
@@ -177,8 +178,7 @@ def normalized_error(profile, pattern: IndexPattern, p: int, tensor: CoeffTensor
     return value
 
 
-def exact_error(profile, pattern: IndexPattern, p: int, T_minus_t: float,
-                tensor: CoeffTensor | None = None) -> ErrorResult:
+def exact_error(profile, pattern: IndexPattern, p: int, T_minus_t: float) -> ErrorResult:
     """Exact mean-square error of the cap-``p`` approximation.
 
     ``I_k - sum_{j in {0..p}^k} C_j * sum_{pi in G} C_{pi j}`` with G the
@@ -187,9 +187,8 @@ def exact_error(profile, pattern: IndexPattern, p: int, T_minus_t: float,
     profile = WeightProfile(profile)
     if p < 0:
         raise ValueError("cap p must be non-negative")
-    if T_minus_t <= 0:
-        raise ValueError("T_minus_t must be positive")
-    norm = normalized_error(profile, pattern, p, tensor)
+    check_step(T_minus_t)
+    norm = normalized_error(profile, pattern, p)
     e = profile.k + 2 * profile.total_weight
     return ErrorResult(norm * T_minus_t**e, profile, pattern, p, T_minus_t)
 
@@ -200,8 +199,7 @@ def error_bound_kfact(profile, p: int, T_minus_t: float) -> float:
     Dominates ``exact_error`` for every index pattern at the same cap.
     """
     profile = WeightProfile(profile)
-    if T_minus_t <= 0:
-        raise ValueError("T_minus_t must be positive")
+    check_step(T_minus_t)
     tensor = get_tensor(profile, p)
     defect = float(exact_norm(profile).value) - tensor.squared_sum_float(p)
     e = profile.k + 2 * profile.total_weight

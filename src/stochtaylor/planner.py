@@ -15,8 +15,9 @@ from fnmatch import fnmatchcase
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Tuple
 
-from .coefficients import WeightProfile, exact_norm, get_tensor
+from .coefficients import WeightProfile, check_step, exact_norm, get_tensor
 from .errors import IndexPattern, normalized_error
+from .legendre import MAX_DEGREE
 
 __all__ = [
     "Condition",
@@ -34,7 +35,6 @@ __all__ = [
     "TABLE_IDS",
 ]
 
-DEFAULT_CAP_K2 = 10**4
 DEFAULT_CAP_HIGH = 100
 
 
@@ -53,8 +53,8 @@ class Condition:
     def __post_init__(self):
         if self.exponent not in (3, 4, 5, 6):
             raise ValueError(f"exponent must be one of 3..6, got {self.exponent}")
-        if self.constant <= 0:
-            raise ValueError("constant must be positive")
+        if not (math.isfinite(self.constant) and self.constant > 0):
+            raise ValueError(f"constant must be positive and finite, got {self.constant!r}")
 
     def threshold(self, T_minus_t: float) -> float:
         return self.constant * T_minus_t**self.exponent
@@ -93,9 +93,11 @@ def _minimal_order_pair_closed_form(condition: Condition, T_minus_t: float) -> i
 
 def _ascend(profile: WeightProfile, search_cap: int | None, ok, goal: str) -> int:
     """First cap ``p = 0, 1, ...`` with ``ok(p, tensor)``; the tensor grows in
-    blocks that shrink with multiplicity, so no step rebuilds it."""
-    cap = search_cap if search_cap is not None else (
-        DEFAULT_CAP_K2 if profile.k <= 2 else DEFAULT_CAP_HIGH)
+    blocks that shrink with multiplicity, so no step rebuilds it.  The cap
+    never exceeds the Legendre degree ceiling ``MAX_DEGREE``."""
+    if search_cap is None:
+        search_cap = MAX_DEGREE if profile.k <= 2 else DEFAULT_CAP_HIGH
+    cap = min(search_cap, MAX_DEGREE)
     step = _GROWTH_CHUNK[profile.k]
     p = 0
     while p <= cap:
@@ -115,8 +117,7 @@ def minimal_order(profile, pattern: IndexPattern, condition: Condition,
     monotonicity of the error makes the first hit minimal.
     """
     profile = WeightProfile(profile)
-    if T_minus_t <= 0:
-        raise ValueError("T_minus_t must be positive")
+    check_step(T_minus_t)
     if profile == (0, 0) and pattern.is_distinct:
         return _minimal_order_pair_closed_form(condition, T_minus_t)
     exponent = profile.k + 2 * profile.total_weight
@@ -135,6 +136,7 @@ def minimal_order_kfact(profile, condition: Condition, T_minus_t: float,
                         search_cap: int | None = None) -> int:
     """Smallest cap under the factorial bound ``k!(I_k - sum C^2) <= thr``."""
     profile = WeightProfile(profile)
+    check_step(T_minus_t)
     thr = condition.threshold(T_minus_t)
     kfact = math.factorial(profile.k)
     exponent = profile.k + 2 * profile.total_weight

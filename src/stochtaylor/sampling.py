@@ -20,7 +20,7 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .coefficients import WeightProfile, get_tensor
+from .coefficients import WeightProfile, check_step, get_tensor
 from .legendre import eval_phi
 
 __all__ = [
@@ -98,8 +98,7 @@ class IntegralSpec:
             raise ValueError("wiener_indices length must equal multiplicity")
         if any(i < 1 for i in idx):
             raise ValueError("Wiener component indices must be >= 1")
-        if T_minus_t <= 0:
-            raise ValueError("T_minus_t must be positive")
+        check_step(T_minus_t)
         object.__setattr__(self, "profile", profile)
         object.__setattr__(self, "wiener_indices", idx)
         object.__setattr__(self, "T_minus_t", float(T_minus_t))

@@ -29,7 +29,6 @@ __all__ = [
     "SCHEMES",
     "required_words",
     "step",
-    "integrate",
     "integrate_batch",
     "estimate_strong_order",
     "gbm_problem",
@@ -236,34 +235,6 @@ def _mul(integral_value, vec):
     if vec.ndim == 1:  # batch integrals, common coefficient vector
         return np.multiply.outer(integral_value, vec)
     return integral_value[:, np.newaxis] * vec
-
-
-def integrate(problem: SdeProblem, scheme: str, x0, grid, seed: int,
-              plan: TruncationPlan | None = None) -> np.ndarray:
-    """Sequential one-path integration over a uniform grid.
-
-    Returns the array of states, shape ``(len(grid), n)``.  Panels are
-    independent across steps; all integrals within a step share one panel.
-    """
-    grid = np.asarray(grid, dtype=np.float64)
-    if len(grid) < 2:
-        raise ValueError("grid needs at least two points")
-    hs = np.diff(grid)
-    if not np.allclose(hs, hs[0], rtol=1e-12, atol=0.0):
-        raise ValueError("grid must be uniform")
-    h = float(hs[0])
-    problem.validate_for(scheme)
-    if plan is None:
-        plan = scheme_plan(_SCHEME_ORDER[scheme], h)
-    rng = np.random.Generator(np.random.Philox(seed))
-    x = np.asarray(x0, dtype=np.float64).reshape(problem.n)
-    out = np.empty((len(grid), problem.n))
-    out[0] = x
-    for i, t in enumerate(grid[:-1]):
-        ctx = StepContext.sample(scheme, problem.m, h, rng, plan)
-        x = step(problem, scheme, x, float(t), ctx)
-        out[i + 1] = x
-    return out
 
 
 def integrate_batch(problem: SdeProblem, scheme: str, x0, T: float, n_steps: int,

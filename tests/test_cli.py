@@ -94,36 +94,18 @@ class TestSubcommands:
         assert code == 2
         assert out == ""
 
+    def test_coeffs_is_usage_error(self, capsys):
+        # the coefficient store and its subcommand are gone
+        code, out = run_cli("coeffs", "build", "--weights", "0", "--p", "1")
+        assert code == 2
+        assert out == ""
+
     def test_plan(self):
         code, out = run_cli("plan", "--scheme", "2.0", "--step", "0.25")
         assert code == 0
         assert "I_(00) q=8" in out
         assert "I_(000) q=2" in out
         assert "I_(0000) q=0" in out
-
-    def test_coeffs_build_verify_roundtrip(self, tmp_path):
-        path = str(tmp_path / "c.flc")
-        code, out = run_cli("coeffs", "build", "--weights", "0,1", "--p", "2",
-                            "--path", path)
-        assert code == 0
-        assert "wrote 9 records" in out
-        code, out = run_cli("coeffs", "verify", "--weights", "0,1", "--p", "2",
-                            "--path", path, "--samples", "9")
-        assert code == 0
-        assert "verified 9 records" in out
-
-    def test_coeffs_overwrite_refused(self, tmp_path):
-        path = str(tmp_path / "c.flc")
-        assert run_cli("coeffs", "build", "--weights", "0", "--p", "1", "--path", path)[0] == 0
-        assert run_cli("coeffs", "build", "--weights", "0", "--p", "1", "--path", path)[0] == 1
-        assert run_cli("coeffs", "build", "--weights", "0", "--p", "1", "--path", path,
-                       "--force")[0] == 0
-
-    def test_coeffs_store_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("STOCHTAYLOR_STORE", str(tmp_path))
-        code, out = run_cli("coeffs", "build", "--weights", "0,0", "--p", "1")
-        assert code == 0
-        assert str(tmp_path) in out
 
     def test_mse_output(self):
         code, out = run_cli("mse", "--spec", "00", "--i", "1,2", "--p", "0",

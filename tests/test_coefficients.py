@@ -103,6 +103,11 @@ class TestScaling:
     def test_single(self):
         assert scaled_coefficient((0,), (0,), 4.0) == pytest.approx(2.0)
 
+    def test_bad_step_rejected(self):
+        for step in (0.0, -0.5, float("nan"), float("-inf")):
+            with pytest.raises(ValueError, match=repr(step)):
+                scaled_coefficient((0, 0), (1, 0), step)
+
     # the published scaling laws, one per weighted family:
     # prefactor denominators 8, 8, 8, 16, 16, 16, 16, 32 and step powers
     # 3/2, 2, 2, 2, 5/2, 5/2, 5/2, 5/2

@@ -300,6 +300,13 @@ class TestStructure:
         with pytest.raises(ValueError):
             exact_error((0, 0), IndexPattern.distinct(3), 1, 1.0)
 
+    @pytest.mark.parametrize("step", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_step_rejected(self, step):
+        with pytest.raises(ValueError, match=repr(step)):
+            exact_error((0, 0), IndexPattern.distinct(2), 1, step)
+        with pytest.raises(ValueError, match=repr(step)):
+            error_bound_kfact((0, 0), 1, step)
+
     def test_time_components_rejected(self):
         with pytest.raises(ValueError):
             IndexPattern.from_indices((0, 1))

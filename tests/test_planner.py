@@ -25,6 +25,8 @@ class TestCondition:
             Condition(7)
         with pytest.raises(ValueError):
             Condition(4, constant=0.0)
+        with pytest.raises(ValueError, match="nan"):
+            Condition(4, float("nan"))
         c = Condition(4)
         assert c.holds(0.0624, 0.5)
         assert c.holds(0.0625, 0.5)  # boundary, non-strict
@@ -95,6 +97,20 @@ class TestMinimalOrder:
         with pytest.raises(PlannerCapError):
             minimal_order(*args, search_cap=2)
         assert minimal_order(*args) == 6
+
+    def test_k2_cap_stops_at_degree_ceiling(self, monkeypatch):
+        # the pair search cap is the Legendre degree ceiling, not an
+        # unreachable 10^4 that ends in a degree error
+        monkeypatch.setattr(coefficients, "_tensor_cache", {})
+        with pytest.raises(PlannerCapError, match="no cap <= 200"):
+            minimal_order((0, 1), IndexPattern.distinct(2), Condition(6), 0.01)
+
+    @pytest.mark.parametrize("step", [-0.01, 0.0, float("nan"), float("inf")])
+    def test_bad_step_rejected(self, step):
+        with pytest.raises(ValueError, match=repr(step)):
+            minimal_order_kfact((0, 0, 0), Condition(4), step)
+        with pytest.raises(ValueError, match=repr(step)):
+            minimal_order((0, 0, 0), IndexPattern.distinct(3), Condition(4), step)
 
     def test_kfact_order_dominates(self):
         cond = Condition(4)

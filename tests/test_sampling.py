@@ -219,6 +219,8 @@ class TestSampleIto:
             IntegralSpec((0, 0), (0, 1), 1.0)
         with pytest.raises(ValueError):
             IntegralSpec((0, 0), (1, 1), 0.0)
+        with pytest.raises(ValueError, match="nan"):
+            IntegralSpec((0, 0), (1, 1), float("nan"))
 
 
 class TestStratonovich:

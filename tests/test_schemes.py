@@ -12,7 +12,6 @@ from stochtaylor.schemes import (
     bilinear_problem,
     estimate_strong_order,
     gbm_problem,
-    integrate,
     integrate_batch,
     required_words,
     step,
@@ -185,17 +184,12 @@ class TestIntegrate:
         prob = gbm_problem()
         h = 0.5
         plan = scheme_plan(1.0, h)
-        path = integrate(prob, "milstein", [1.0], [0.0, h], seed=11, plan=plan)
+        xT, _ = integrate_batch(prob, "milstein", [1.0], h, 1, 1, seed=11, plan=plan)
         rng = np.random.Generator(np.random.Philox(11))
         ctx = StepContext.sample("milstein", 1, h, rng, plan)
         expect = step(prob, "milstein", np.array([1.0]), 0.0, ctx)
-        assert path.shape == (2, 1)
-        assert path[1] == pytest.approx(expect, rel=1e-14)
-
-    def test_non_uniform_grid_rejected(self):
-        prob = gbm_problem()
-        with pytest.raises(ValueError):
-            integrate(prob, "milstein", [1.0], [0.0, 0.1, 0.3], seed=0)
+        assert xT.shape == (1, 1)
+        assert np.array_equal(xT[0], expect)
 
     def test_deterministic_linear_t25_matches_matrix_taylor(self):
         A = np.array([[0.3, -0.2], [0.1, 0.25]])
@@ -203,13 +197,13 @@ class TestIntegrate:
         h = 0.2
         plan = scheme_plan(2.5, h)
         x0 = np.array([1.0, -1.0])
-        path = integrate(prob, "t25", x0, np.arange(6) * h, seed=1, plan=plan)
+        xT, _ = integrate_batch(prob, "t25", x0, 5 * h, 5, 1, seed=1, plan=plan)
         I2 = np.eye(2)
         prop = I2 + h * A + h**2 / 2 * A @ A + h**3 / 6 * A @ A @ A
         expect = x0.copy()
         for _ in range(5):
             expect = prop @ expect
-        assert np.allclose(path[-1], expect, rtol=1e-12)
+        assert np.allclose(xT[0], expect, rtol=1e-12)
 
     def test_batch_reproducible(self):
         prob = gbm_problem()
