@@ -18,6 +18,10 @@ from . import coefficients, errors, planner, sampling, schemes
 
 _FORMATS = ("md", "csv", "jsonl")
 
+# a plan is named by its order or by the fullest scheme of that order
+_PLAN_ORDERS = {**{str(o): o for o in planner.SCHEME_ORDERS},
+                **{s: o for s, o in planner.SCHEME_ORDER.items() if s != "euler"}}
+
 
 def _echo_config(args, keys):
     fmt = getattr(args, "format", "md")
@@ -79,9 +83,7 @@ def _cmd_truncate(args):
 
 
 def _cmd_plan(args):
-    order = {"1.0": 1.0, "1.5": 1.5, "2.0": 2.0, "2.5": 2.5,
-             "milstein": 1.0, "t15": 1.5, "t20": 2.0, "t25": 2.5}[args.scheme]
-    plan = planner.scheme_plan(order, args.step, args.constant)
+    plan = planner.scheme_plan(_PLAN_ORDERS[args.scheme], args.step, args.constant)
     _echo_config(args, ["scheme", "step", "constant"])
     for weights, cap in plan.items():
         print(f"I_({''.join(map(str, weights))}) q={cap}")
@@ -114,6 +116,8 @@ def _cmd_mse(args):
     spec = sampling.IntegralSpec(profile, indices, args.step)
     pattern = errors.IndexPattern.from_indices(indices)
     exact = errors.exact_error(profile, pattern, args.p, args.step).value
+    if args.paths < 1:
+        raise ValueError(f"paths must be at least 1, got {args.paths}")
     rng = np.random.Generator(np.random.Philox(args.seed))
     m = max(indices)
     emp_sum, emp_sqsum, done = 0.0, 0.0, 0
@@ -142,9 +146,7 @@ def _cmd_mse(args):
 
 def _cmd_integrate(args):
     problem = _get_problem(args.problem)
-    n_steps = round(args.T / args.h)
-    if abs(n_steps * args.h - args.T) > 1e-9 * args.T:
-        raise ValueError(f"step {args.h} does not divide horizon {args.T}")
+    n_steps = schemes.grid_steps(args.T, args.h)
     x0 = [args.x0] * problem.n
     xT, WT = schemes.integrate_batch(problem, args.scheme, x0, args.T, n_steps,
                                      args.paths, args.seed)
@@ -213,8 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_truncate)
 
     p = sub.add_parser("plan", help="per-scheme truncation plan")
-    p.add_argument("--scheme", required=True,
-                   choices=["1.0", "1.5", "2.0", "2.5", "milstein", "t15", "t20", "t25"])
+    p.add_argument("--scheme", required=True, choices=list(_PLAN_ORDERS))
     p.add_argument("--step", type=float, required=True)
     p.add_argument("--constant", type=float, default=1.0)
     p.set_defaults(fn=_cmd_plan)

@@ -31,7 +31,11 @@ __all__ = [
     "scheme_plan",
     "case_catalog",
     "case_pattern",
+    "scheme_terms",
+    "scheme_profiles",
+    "SCHEME_ORDER",
     "SCHEME_ORDERS",
+    "SCHEME_TERMS",
     "TABLE_IDS",
 ]
 
@@ -343,25 +347,55 @@ def check_hypothesis(profile, condition: Condition, T_minus_t: float) -> Hypothe
 # scheme plans
 # ---------------------------------------------------------------------------
 
-SCHEME_ORDERS = (1.0, 1.5, 2.0, 2.5)
+#: strong order of each scheme, lowest first; a scheme evaluates every term
+#: of the schemes listed before it
+SCHEME_ORDER = {"euler": 1.0, "milstein": 1.0, "t15": 1.5, "t20": 2.0, "t25": 2.5}
+SCHEME_ORDERS = tuple(sorted(set(SCHEME_ORDER.values())))
 
-# weight profiles of the multiplicity >= 2 integrals each scheme simulates,
-# in reporting order (q, q_1, q_2(01), q_2(10), q_3, q_4, q_5, q_6, q_7)
-_SCHEME_PROFILES: Dict[float, List[tuple]] = {
-    1.0: [(0, 0)],
-    1.5: [(0, 0), (0, 0, 0)],
-    2.0: [(0, 0), (0, 0, 0), (0, 1), (1, 0), (0, 0, 0, 0)],
-    2.5: [
-        (0, 0), (0, 0, 0), (0, 1), (1, 0), (0, 0, 0, 0),
-        (0, 0, 0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0),
-    ],
-}
+_HALF, _SIXTH = Fraction(1, 2), Fraction(1, 6)
 
-_SCHEME_EXPONENT = {1.0: 3, 1.5: 4, 2.0: 5, 2.5: 6}
+#: The unified Taylor-Ito expansion, one row per term: (first scheme, operator
+#: word, combination).  The combination is a sum of (coefficient, power of h,
+#: weights) read as coefficient * h^power * I_(weights) over the word's index
+#: tuple; empty weights stand for the bare h^power.  Each G of a word and a
+#: trailing B take one index, so every integral of a row has that many.
+SCHEME_TERMS = (
+    ("euler", "a", ((1, 1, ()),)),
+    ("euler", "B", ((1, 0, (0,)),)),
+    ("milstein", "GB", ((1, 0, (0, 0)),)),
+    ("t15", "Ga", ((1, 1, (0,)), (1, 0, (1,)))),
+    ("t15", "LB", ((-1, 0, (1,)),)),
+    ("t15", "GGB", ((1, 0, (0, 0, 0)),)),
+    ("t15", "La", ((_HALF, 2, ()),)),
+    ("t20", "GLB", ((1, 0, (1, 0)), (-1, 0, (0, 1)))),
+    ("t20", "LGB", ((-1, 0, (1, 0)),)),
+    ("t20", "GGa", ((1, 0, (0, 1)), (1, 1, (0, 0)))),
+    ("t20", "GGGB", ((1, 0, (0, 0, 0, 0)),)),
+    ("t25", "GLa", ((_HALF, 0, (2,)), (1, 1, (1,)), (_HALF, 2, (0,)))),
+    ("t25", "LLB", ((_HALF, 0, (2,)),)),
+    ("t25", "LGa", ((-1, 0, (2,)), (-1, 1, (1,)))),
+    ("t25", "GLGB", ((1, 0, (1, 0, 0)), (-1, 0, (0, 1, 0)))),
+    ("t25", "GGLB", ((1, 0, (0, 1, 0)), (-1, 0, (0, 0, 1)))),
+    ("t25", "GGGa", ((1, 1, (0, 0, 0)), (1, 0, (0, 0, 1)))),
+    ("t25", "LGGB", ((-1, 0, (1, 0, 0)),)),
+    ("t25", "GGGGB", ((1, 0, (0, 0, 0, 0, 0)),)),
+    ("t25", "LLa", ((_SIXTH, 3, ()),)),
+)
 
-#: single-integration weights each scheme needs; these use their exact finite
-#: expansions (cap = weight exponent), carrying zero truncation error
-_SCHEME_K1_WEIGHTS = {1.0: [0], 1.5: [0, 1], 2.0: [0, 1], 2.5: [0, 1, 2]}
+
+def scheme_terms(scheme: str) -> List[tuple]:
+    """Rows of ``SCHEME_TERMS`` a scheme evaluates, in table order."""
+    names = list(SCHEME_ORDER)
+    if scheme not in names:
+        raise ValueError(f"scheme must be one of {tuple(names)}, got {scheme!r}")
+    rank = names.index(scheme)
+    return [row for row in SCHEME_TERMS if names.index(row[0]) <= rank]
+
+
+def scheme_profiles(terms) -> List[tuple]:
+    """Weight profiles of the integrals the terms use, by multiplicity."""
+    profiles = {w for _, _, combo in terms for _, _, w in combo if w}
+    return sorted(profiles, key=lambda w: (len(w), w))
 
 
 @dataclass(frozen=True)
@@ -385,18 +419,18 @@ def scheme_plan(order: float, T_minus_t: float, constant: float = 1.0,
     """Minimal truncation caps for one strong scheme at step ``T_minus_t``.
 
     Every multiplicity >= 2 integral is planned with the pairwise-distinct
-    error formula; single integrals get their exact finite expansions.
+    error formula; single integrals get their exact finite expansions (cap = weight).
     """
-    if order not in _SCHEME_EXPONENT:
+    if order not in SCHEME_ORDERS:
         raise ValueError(f"order must be one of {SCHEME_ORDERS}, got {order}")
-    condition = Condition(_SCHEME_EXPONENT[order], constant, strict)
+    condition = Condition(int(2 * order + 1), constant, strict)
+    terms = [row for row in SCHEME_TERMS if SCHEME_ORDER[row[0]] <= order]
     orders: Dict[tuple, int] = {}
-    for l in _SCHEME_K1_WEIGHTS[order]:
-        orders[(l,)] = l
-    for profile in _SCHEME_PROFILES[order]:
+    for profile in scheme_profiles(terms):
         k = len(profile)
-        orders[profile] = minimal_order(profile, IndexPattern.distinct(k), condition,
-                                        T_minus_t, search_cap)
+        orders[profile] = (profile[0] if k == 1 else
+                           minimal_order(profile, IndexPattern.distinct(k), condition,
+                                         T_minus_t, search_cap))
     return TruncationPlan(order, T_minus_t, constant, orders)
 
 

@@ -16,11 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+from itertools import groupby, product
 from typing import Callable, Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from .planner import TruncationPlan, scheme_plan
+from .coefficients import check_step
+from .planner import SCHEME_ORDER, TruncationPlan, scheme_plan, scheme_profiles, scheme_terms
 from .sampling import GaussianPanel, IntegralSpec, make_panel, sample_ito
 
 __all__ = [
@@ -29,44 +33,18 @@ __all__ = [
     "SCHEMES",
     "required_words",
     "step",
+    "grid_steps",
     "integrate_batch",
     "estimate_strong_order",
     "gbm_problem",
     "bilinear_problem",
 ]
 
-SCHEMES = ("euler", "milstein", "t15", "t20", "t25")
-
-_SCHEME_ORDER = {"milstein": 1.0, "t15": 1.5, "t20": 2.0, "t25": 2.5, "euler": 1.0}
-
-# operator words each scheme evaluates; a trailing B carries a column index,
-# each G carries a component index
-_WORDS = {
-    "euler": ["a", "B"],
-    "milstein": ["a", "B", "GB"],
-    "t15": ["a", "B", "GB", "Ga", "LB", "GGB", "La"],
-    "t20": ["a", "B", "GB", "Ga", "LB", "GGB", "La",
-            "GLB", "LGB", "GGa", "GGGB"],
-    "t25": ["a", "B", "GB", "Ga", "LB", "GGB", "La",
-            "GLB", "LGB", "GGa", "GGGB",
-            "GLa", "LLB", "LGa", "GLGB", "GGLB", "GGGa", "LGGB", "GGGGB", "LLa"],
-}
-
-# weight profiles of the stochastic integrals each scheme consumes
-_INTEGRALS = {
-    "euler": [(0,)],
-    "milstein": [(0,), (0, 0)],
-    "t15": [(0,), (1,), (0, 0), (0, 0, 0)],
-    "t20": [(0,), (1,), (0, 0), (0, 0, 0), (1, 0), (0, 1), (0, 0, 0, 0)],
-    "t25": [(0,), (1,), (2,), (0, 0), (0, 0, 0), (1, 0), (0, 1), (0, 0, 0, 0),
-            (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0, 0, 0)],
-}
+SCHEMES = tuple(SCHEME_ORDER)
 
 
 def required_words(scheme: str) -> List[str]:
-    if scheme not in SCHEMES:
-        raise ValueError(f"scheme must be one of {SCHEMES}")
-    return list(_WORDS[scheme])
+    return [word for _, word, _ in scheme_terms(scheme)]
 
 
 @dataclass
@@ -119,11 +97,10 @@ class StepContext:
         form, so single-noise problems never pay for the pair cap.
         """
         if plan is None:
-            plan = scheme_plan(_SCHEME_ORDER[scheme], h, constant)
-        profiles = [tuple(w) for w in _INTEGRALS[scheme]]
+            plan = scheme_plan(SCHEME_ORDER[scheme], h, constant)
         combos = [
             (weights, indices)
-            for weights in profiles
+            for weights in scheme_profiles(scheme_terms(scheme))
             for indices in _index_tuples(m, len(weights))
         ]
 
@@ -142,99 +119,58 @@ class StepContext:
 
 
 def _index_tuples(m: int, k: int) -> Iterable[Tuple[int, ...]]:
-    if k == 0:
-        yield ()
-        return
-    for head in range(1, m + 1):
-        for rest in _index_tuples(m, k - 1):
-            yield (head,) + rest
+    """Component indices 1..m of a k-fold integral, in lexicographic order."""
+    return product(range(1, m + 1), repeat=k)
+
+
+def _arity(word: str) -> int:
+    """Number of indices a word takes: one per G and one for a trailing B."""
+    return word.count("G") + word.endswith("B")
+
+
+@lru_cache(maxsize=None)
+def _step_groups(scheme: str):
+    """The scheme's rows as ((arity, ((word, ((num, den, power, weights), ...)), ...)), ...),
+    consecutive rows of equal arity sharing one group."""
+    rows = [(word, tuple((Fraction(c).numerator, Fraction(c).denominator, power, weights)
+                         for c, power, weights in combo))
+            for _, word, combo in scheme_terms(scheme)]
+    return tuple((k, tuple(group)) for k, group in groupby(rows, key=lambda r: _arity(r[0])))
 
 
 def step(problem: SdeProblem, scheme: str, x, t: float, ctx: StepContext):
-    """One explicit strong step, evaluated exactly as the scheme is printed."""
+    """One explicit strong step: ``x`` plus every term of the scheme's rows.
+
+    Each group of rows is one sum over the index tuples; per tuple the rows
+    add up in table order, and each row is its combination, summed left to
+    right, times its operator word.  That order fixes every floating-point
+    sum, so a step is reproducible bit for bit.
+    """
     problem.validate_for(scheme)
     x = np.asarray(x, dtype=np.float64)
-    h = ctx.h
-    m = problem.m
-    I = ctx.integral
-
-    def op(word, *indices):
-        return problem.op(word, x, t, *indices)
-
-    def wsum(values_by_index):
+    hp = (1.0, ctx.h, ctx.h * ctx.h, ctx.h**3)
+    y = x
+    for k, rows in _step_groups(scheme):
+        scaled = [(word, [(hp[power] * num / den, weights) for num, den, power, weights in terms])
+                  for word, terms in rows]
         acc = None
-        for term in values_by_index:
-            acc = term if acc is None else acc + term
-        return acc
-
-    y = x + h * op("a")
-    y = y + wsum(_mul(I((0,), (i1,)), op("B", i1)) for i1 in range(1, m + 1))
-    if scheme == "euler":
-        return y
-    y = y + wsum(
-        _mul(I((0, 0), (i1, i2)), op("GB", i1, i2))
-        for i1 in range(1, m + 1) for i2 in range(1, m + 1)
-    )
-    if scheme == "milstein":
-        return y
-    # order 1.5 terms
-    y = y + wsum(
-        _mul(h * I((0,), (i1,)) + I((1,), (i1,)), op("Ga", i1))
-        - _mul(I((1,), (i1,)), op("LB", i1))
-        for i1 in range(1, m + 1)
-    )
-    y = y + wsum(
-        _mul(I((0, 0, 0), (i1, i2, i3)), op("GGB", i1, i2, i3))
-        for i1 in range(1, m + 1) for i2 in range(1, m + 1) for i3 in range(1, m + 1)
-    )
-    y = y + (h * h / 2.0) * op("La")
-    if scheme == "t15":
-        return y
-    # order 2.0 terms
-    y = y + wsum(
-        _mul(I((1, 0), (i1, i2)) - I((0, 1), (i1, i2)), op("GLB", i1, i2))
-        - _mul(I((1, 0), (i1, i2)), op("LGB", i1, i2))
-        + _mul(I((0, 1), (i1, i2)) + h * I((0, 0), (i1, i2)), op("GGa", i1, i2))
-        for i1 in range(1, m + 1) for i2 in range(1, m + 1)
-    )
-    y = y + wsum(
-        _mul(I((0, 0, 0, 0), idx), op("GGGB", *idx))
-        for idx in _index_tuples(m, 4)
-    )
-    if scheme == "t20":
-        return y
-    # order 2.5 terms
-    y = y + wsum(
-        _mul(0.5 * I((2,), (i1,)) + h * I((1,), (i1,)) + (h * h / 2.0) * I((0,), (i1,)),
-             op("GLa", i1))
-        + 0.5 * _mul(I((2,), (i1,)), op("LLB", i1))
-        - _mul(I((2,), (i1,)) + h * I((1,), (i1,)), op("LGa", i1))
-        for i1 in range(1, m + 1)
-    )
-    y = y + wsum(
-        _mul(I((1, 0, 0), idx) - I((0, 1, 0), idx), op("GLGB", *idx))
-        + _mul(I((0, 1, 0), idx) - I((0, 0, 1), idx), op("GGLB", *idx))
-        + _mul(h * I((0, 0, 0), idx) + I((0, 0, 1), idx), op("GGGa", *idx))
-        - _mul(I((1, 0, 0), idx), op("LGGB", *idx))
-        for idx in _index_tuples(m, 3)
-    )
-    y = y + wsum(
-        _mul(I((0, 0, 0, 0, 0), idx), op("GGGGB", *idx))
-        for idx in _index_tuples(m, 5)
-    )
-    y = y + (h**3 / 6.0) * op("LLa")
+        for idx in _index_tuples(problem.m, k):
+            group = None
+            for word, terms in scaled:
+                combo = None
+                for coef, weights in terms:
+                    term = coef * ctx.integral(weights, idx) if weights else coef
+                    combo = term if combo is None else combo + term
+                value = _mul(combo, problem.op(word, x, t, *idx))
+                group = value if group is None else group + value
+            acc = group if acc is None else acc + group
+        y = y + acc
     return y
 
 
 def _mul(integral_value, vec):
     """Multiply per-path integral values with coefficient vectors."""
-    integral_value = np.asarray(integral_value)
-    vec = np.asarray(vec)
-    if integral_value.ndim == 0:
-        return integral_value * vec
-    if vec.ndim == 1:  # batch integrals, common coefficient vector
-        return np.multiply.outer(integral_value, vec)
-    return integral_value[:, np.newaxis] * vec
+    return np.asarray(integral_value)[..., np.newaxis] * vec
 
 
 def integrate_batch(problem: SdeProblem, scheme: str, x0, T: float, n_steps: int,
@@ -246,9 +182,11 @@ def integrate_batch(problem: SdeProblem, scheme: str, x0, T: float, n_steps: int
     Wiener endpoints, shape (paths, m), for coupling to exact solutions.
     """
     problem.validate_for(scheme)
+    if paths < 1 or n_steps < 1:
+        raise ValueError(f"paths and n_steps must be at least 1, got {paths} and {n_steps}")
     h = T / n_steps
     if plan is None:
-        plan = scheme_plan(_SCHEME_ORDER[scheme], h)
+        plan = scheme_plan(SCHEME_ORDER[scheme], h)
     rng = np.random.Generator(np.random.Philox(seed))
     x = np.broadcast_to(np.asarray(x0, dtype=np.float64).reshape(problem.n),
                         (paths, problem.n)).copy()
@@ -259,6 +197,17 @@ def integrate_batch(problem: SdeProblem, scheme: str, x0, T: float, n_steps: int
         for i in range(1, problem.m + 1):
             W[:, i - 1] += ctx.integral((0,), (i,))
     return x, W
+
+
+def grid_steps(T: float, h: float) -> int:
+    """Number of steps ``h`` in the horizon ``T``; both must be positive and
+    finite, and ``h`` must divide ``T``."""
+    check_step(h)
+    check_step(T)
+    n_steps = round(T / h)
+    if abs(n_steps * h - T) > 1e-9 * T:
+        raise ValueError(f"step {h} does not divide horizon {T}")
+    return n_steps
 
 
 @dataclass
@@ -284,13 +233,11 @@ def estimate_strong_order(problem: SdeProblem, scheme: str, steps, paths: int,
     (noisier estimator, documented trade-off).
     """
     steps = [float(h) for h in steps]
-    if len(steps) < 3:
-        raise ValueError("order regression needs at least 3 step sizes")
+    if len(set(steps)) < 3:
+        raise ValueError(f"order regression needs at least 3 distinct step sizes, got {steps}")
+    grid = [grid_steps(T, h) for h in steps]
     errors = []
-    for i, h in enumerate(steps):
-        n_steps = round(T / h)
-        if abs(n_steps * h - T) > 1e-9 * T:
-            raise ValueError(f"step {h} does not divide horizon {T}")
+    for i, n_steps in enumerate(grid):
         xT, WT = integrate_batch(problem, scheme, x0, T, n_steps, paths, seed + 1000 * i)
         if reference == "exact":
             if problem.exact_solution is None:
@@ -308,14 +255,10 @@ def estimate_strong_order(problem: SdeProblem, scheme: str, steps, paths: int,
     A = np.vstack([lx, np.ones_like(lx)]).T
     coef, res, _, _ = np.linalg.lstsq(A, ly, rcond=None)
     slope = float(coef[0])
-    dof = len(steps) - 2
-    if dof > 0 and res.size:
-        s2 = float(res[0]) / dof
-        sxx = float(((lx - lx.mean()) ** 2).sum())
-        stderr = math.sqrt(s2 / sxx)
-    else:
-        stderr = float("nan")
-    return OrderEstimate(slope, stderr, steps, errors)
+    # three distinct steps give full rank and at least one residual degree of freedom
+    s2 = float(res[0]) / (len(steps) - 2)
+    sxx = float(((lx - lx.mean()) ** 2).sum())
+    return OrderEstimate(slope, math.sqrt(s2 / sxx), steps, errors)
 
 
 # ---------------------------------------------------------------------------
@@ -326,35 +269,16 @@ def estimate_strong_order(problem: SdeProblem, scheme: str, steps, paths: int,
 def gbm_problem(mu: float = 0.5, sigma: float = 1.0) -> SdeProblem:
     """Geometric Brownian motion dx = mu x dt + sigma x dW (n = m = 1).
 
-    Every operator word maps x to a scalar multiple of x; the registry is
-    hand-derived.  The exact solution is the lognormal flow.
+    Every operator word maps x to a scalar multiple of x: one factor mu per
+    L and for a final a, one factor sigma per index the word takes.  The
+    exact solution is the lognormal flow.
     """
 
     def lin(c):
         return lambda x, t, *idx: c * x
 
-    ops = {
-        "a": lin(mu),
-        "B": lin(sigma),
-        "GB": lin(sigma**2),
-        "Ga": lin(mu * sigma),
-        "LB": lin(mu * sigma),
-        "La": lin(mu**2),
-        "GGB": lin(sigma**3),
-        "GLB": lin(mu * sigma**2),
-        "LGB": lin(mu * sigma**2),
-        "GGa": lin(mu * sigma**2),
-        "GGGB": lin(sigma**4),
-        "GLa": lin(mu**2 * sigma),
-        "LLB": lin(mu**2 * sigma),
-        "LGa": lin(mu**2 * sigma),
-        "GLGB": lin(mu * sigma**3),
-        "GGLB": lin(mu * sigma**3),
-        "GGGa": lin(mu * sigma**3),
-        "LGGB": lin(mu * sigma**3),
-        "GGGGB": lin(sigma**5),
-        "LLa": lin(mu**3),
-    }
+    ops = {w: lin(mu ** (w.count("L") + w.endswith("a")) * sigma ** _arity(w))
+           for w in required_words(SCHEMES[-1])}
 
     def exact(x0, T, W_T):
         x0 = np.asarray(x0, dtype=np.float64).reshape(1)
@@ -383,21 +307,12 @@ def bilinear_problem(A: np.ndarray | None = None, B1: np.ndarray | None = None,
     Bs = {1: B1, 2: B2}
 
     def word_matrix(word, indices):
-        # base symbol: a -> A, B -> channel matrix of last index
+        # read right to left: a and L give A, B and G the channel of their index
         idx = list(indices)
-        if word.endswith("B"):
-            M = Bs[idx.pop()]
-            prefix = word[:-1]
-        else:
-            M = A
-            prefix = word[:-1]
-        for sym in reversed(prefix):
-            if sym == "G":
-                M = M @ Bs[idx.pop()]
-            elif sym == "L":
-                M = M @ A
-            else:
-                raise AssertionError(word)
+        M = None
+        for sym in reversed(word):
+            S = Bs[idx.pop()] if sym in "BG" else A
+            M = S if M is None else M @ S
         return M
 
     def entry(word):
@@ -407,5 +322,5 @@ def bilinear_problem(A: np.ndarray | None = None, B1: np.ndarray | None = None,
 
         return fn
 
-    ops = {w: entry(w) for w in _WORDS["t25"]}
+    ops = {w: entry(w) for w in required_words(SCHEMES[-1])}
     return SdeProblem(n, 2, ops, exact_solution=None, name="bilinear2d")

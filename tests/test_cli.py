@@ -107,6 +107,20 @@ class TestSubcommands:
         assert "I_(000) q=2" in out
         assert "I_(0000) q=0" in out
 
+    def test_plan_names(self, capsys):
+        # each order's plan is named by the order or by its fullest scheme
+        for name in ("1.0", "1.5", "2.0", "2.5", "milstein", "t15", "t20", "t25"):
+            assert run_cli("plan", "--scheme", name, "--step", "0.5")[0] == 0
+        assert run_cli("plan", "--scheme", "euler", "--step", "0.5")[0] == 2
+
+    def test_plan_lists_profiles_by_multiplicity(self):
+        code, out = run_cli("plan", "--scheme", "t25", "--step", "0.5")
+        assert code == 0
+        listed = [line.split()[0] for line in out.splitlines()[1:]]
+        assert listed == ["I_(0)", "I_(1)", "I_(2)", "I_(00)", "I_(01)", "I_(10)",
+                          "I_(000)", "I_(001)", "I_(010)", "I_(100)", "I_(0000)",
+                          "I_(00000)"]
+
     def test_mse_output(self):
         code, out = run_cli("mse", "--spec", "00", "--i", "1,2", "--p", "0",
                             "--step", "1", "--paths", "4000", "--grid", "128",
@@ -135,6 +149,23 @@ class TestSubcommands:
                             "--h", "0.25", "--T", "1", "--paths", "500", "--seed", "4")
         assert code == 0
         assert "strong_error" in out
+
+    @pytest.mark.parametrize("argv,message", [
+        (("integrate", "--paths", "0"), "at least 1, got 0 and 2"),
+        (("integrate", "--paths", "-3"), "at least 1, got -3 and 2"),
+        (("order", "--steps", "0,0.5,0.25"), "positive and finite, got 0.0"),
+        (("order", "--steps", "0.5,0.5,0.5"), "at least 3 distinct step sizes"),
+    ])
+    def test_run_rejected(self, argv, message, capsys):
+        flags = ["--h", "0.5", "--T", "1"] if argv[0] == "integrate" else ["--paths", "10"]
+        code, out = run_cli(*argv, "--scheme", "milstein", *flags)
+        assert code == 1
+        assert message in capsys.readouterr().err
+
+    def test_mse_paths_rejected(self, capsys):
+        code, _ = run_cli("mse", "--spec", "00", "--i", "1,2", "--p", "0", "--paths", "0")
+        assert code == 1
+        assert "paths must be at least 1, got 0" in capsys.readouterr().err
 
     def test_order(self):
         code, out = run_cli("order", "--scheme", "euler", "--problem", "gbm",

@@ -1,12 +1,15 @@
 import math
+from typing import Iterable, Tuple
 
 import numpy as np
 import pytest
 
+from stochtaylor import schemes
 from stochtaylor.errors import IndexPattern, exact_error
-from stochtaylor.planner import scheme_plan
+from stochtaylor.planner import _SCHEME_CASES, _TABLES, _family, case_catalog, scheme_plan
 from stochtaylor.sampling import GaussianPanel
 from stochtaylor.schemes import (
+    SCHEMES,
     SdeProblem,
     StepContext,
     bilinear_problem,
@@ -16,6 +19,104 @@ from stochtaylor.schemes import (
     required_words,
     step,
 )
+
+
+# The schemes printed term by term, with their helpers: the reference the
+# table-driven ``step`` must match bit for bit.
+def _index_tuples(m: int, k: int) -> Iterable[Tuple[int, ...]]:
+    if k == 0:
+        yield ()
+        return
+    for head in range(1, m + 1):
+        for rest in _index_tuples(m, k - 1):
+            yield (head,) + rest
+
+
+def _mul(integral_value, vec):
+    """Multiply per-path integral values with coefficient vectors."""
+    integral_value = np.asarray(integral_value)
+    vec = np.asarray(vec)
+    if integral_value.ndim == 0:
+        return integral_value * vec
+    if vec.ndim == 1:  # batch integrals, common coefficient vector
+        return np.multiply.outer(integral_value, vec)
+    return integral_value[:, np.newaxis] * vec
+
+
+def _printed_step(problem: SdeProblem, scheme: str, x, t: float, ctx: StepContext):
+    """One explicit strong step, evaluated exactly as the scheme is printed."""
+    problem.validate_for(scheme)
+    x = np.asarray(x, dtype=np.float64)
+    h = ctx.h
+    m = problem.m
+    I = ctx.integral
+
+    def op(word, *indices):
+        return problem.op(word, x, t, *indices)
+
+    def wsum(values_by_index):
+        acc = None
+        for term in values_by_index:
+            acc = term if acc is None else acc + term
+        return acc
+
+    y = x + h * op("a")
+    y = y + wsum(_mul(I((0,), (i1,)), op("B", i1)) for i1 in range(1, m + 1))
+    if scheme == "euler":
+        return y
+    y = y + wsum(
+        _mul(I((0, 0), (i1, i2)), op("GB", i1, i2))
+        for i1 in range(1, m + 1) for i2 in range(1, m + 1)
+    )
+    if scheme == "milstein":
+        return y
+    # order 1.5 terms
+    y = y + wsum(
+        _mul(h * I((0,), (i1,)) + I((1,), (i1,)), op("Ga", i1))
+        - _mul(I((1,), (i1,)), op("LB", i1))
+        for i1 in range(1, m + 1)
+    )
+    y = y + wsum(
+        _mul(I((0, 0, 0), (i1, i2, i3)), op("GGB", i1, i2, i3))
+        for i1 in range(1, m + 1) for i2 in range(1, m + 1) for i3 in range(1, m + 1)
+    )
+    y = y + (h * h / 2.0) * op("La")
+    if scheme == "t15":
+        return y
+    # order 2.0 terms
+    y = y + wsum(
+        _mul(I((1, 0), (i1, i2)) - I((0, 1), (i1, i2)), op("GLB", i1, i2))
+        - _mul(I((1, 0), (i1, i2)), op("LGB", i1, i2))
+        + _mul(I((0, 1), (i1, i2)) + h * I((0, 0), (i1, i2)), op("GGa", i1, i2))
+        for i1 in range(1, m + 1) for i2 in range(1, m + 1)
+    )
+    y = y + wsum(
+        _mul(I((0, 0, 0, 0), idx), op("GGGB", *idx))
+        for idx in _index_tuples(m, 4)
+    )
+    if scheme == "t20":
+        return y
+    # order 2.5 terms
+    y = y + wsum(
+        _mul(0.5 * I((2,), (i1,)) + h * I((1,), (i1,)) + (h * h / 2.0) * I((0,), (i1,)),
+             op("GLa", i1))
+        + 0.5 * _mul(I((2,), (i1,)), op("LLB", i1))
+        - _mul(I((2,), (i1,)) + h * I((1,), (i1,)), op("LGa", i1))
+        for i1 in range(1, m + 1)
+    )
+    y = y + wsum(
+        _mul(I((1, 0, 0), idx) - I((0, 1, 0), idx), op("GLGB", *idx))
+        + _mul(I((0, 1, 0), idx) - I((0, 0, 1), idx), op("GGLB", *idx))
+        + _mul(h * I((0, 0, 0), idx) + I((0, 0, 1), idx), op("GGGa", *idx))
+        - _mul(I((1, 0, 0), idx), op("LGGB", *idx))
+        for idx in _index_tuples(m, 3)
+    )
+    y = y + wsum(
+        _mul(I((0, 0, 0, 0, 0), idx), op("GGGGB", *idx))
+        for idx in _index_tuples(m, 5)
+    )
+    y = y + (h**3 / 6.0) * op("LLa")
+    return y
 
 
 def _ctx(scheme, m, h, seed, plan=None, paths=None):
@@ -142,6 +243,41 @@ class TestSchemeNesting:
         assert np.allclose(got, expect, rtol=1e-12, atol=1e-14)
 
 
+class TestPrintedOracle:
+    """The table-driven step evaluates exactly what the printed step does."""
+
+    PROBLEMS = {"gbm": gbm_problem, "bilinear2d": bilinear_problem}
+
+    @pytest.mark.parametrize("paths", [1, 64])
+    @pytest.mark.parametrize("problem", sorted(PROBLEMS))
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_step_and_endpoints_bit_identical(self, scheme, problem, paths, monkeypatch):
+        prob = self.PROBLEMS[problem]()
+        x0 = np.linspace(1.0, -0.5, prob.n)
+        ctx = _ctx(scheme, prob.m, 0.25, 3, paths=paths)
+        x = np.broadcast_to(x0, (paths, prob.n))
+        assert np.array_equal(step(prob, scheme, x, 0.0, ctx),
+                              _printed_step(prob, scheme, x, 0.0, ctx))
+        got = integrate_batch(prob, scheme, x0, 1.0, 4, paths, seed=3)
+        monkeypatch.setattr(schemes, "step", _printed_step)
+        expect = integrate_batch(prob, scheme, x0, 1.0, 4, paths, seed=3)
+        assert np.array_equal(got[0], expect[0])
+        assert np.array_equal(got[1], expect[1])
+
+
+class TestSchemeTables:
+    @pytest.mark.parametrize("table_id,order,n_cases",
+                             [(10, 1.0, 1), (11, 1.5, 2), (12, 2.0, 5), (13, 2.5, 9)])
+    def test_scheme_table_names_plan_profiles(self, table_id, order, n_cases):
+        # tables 10-13 list the multiplicity >= 2 integrals of each scheme
+        spec = _TABLES[table_id]
+        assert spec.cases == _SCHEME_CASES[:n_cases]
+        assert spec.exponent == 2 * order + 1
+        tabled = {tuple(case_catalog(*_family(glob))[0][1]) for glob in spec.cases}
+        planned = {w for w in scheme_plan(order, 0.5).orders if len(w) >= 2}
+        assert tabled == planned
+
+
 class TestConditionWiring:
     @pytest.mark.parametrize("order,exponent", [(1.0, 3), (1.5, 4), (2.0, 5), (2.5, 6)])
     def test_plan_meets_mean_square_condition(self, order, exponent):
@@ -205,6 +341,12 @@ class TestIntegrate:
             expect = prop @ expect
         assert np.allclose(xT[0], expect, rtol=1e-12)
 
+    @pytest.mark.parametrize("paths,n_steps", [(0, 4), (-3, 4), (8, 0)])
+    def test_empty_run_rejected(self, paths, n_steps):
+        message = f"paths and n_steps must be at least 1, got {paths} and {n_steps}"
+        with pytest.raises(ValueError, match=message):
+            integrate_batch(gbm_problem(), "milstein", [1.0], 1.0, n_steps, paths, seed=0)
+
     def test_batch_reproducible(self):
         prob = gbm_problem()
         a = integrate_batch(prob, "milstein", [1.0], 1.0, 8, 64, seed=5)
@@ -226,6 +368,16 @@ class TestStrongOrder:
         prob = gbm_problem()
         with pytest.raises(ValueError):
             estimate_strong_order(prob, "milstein", [0.1, 0.05], 100, [1.0], 1.0)
+
+    def test_requires_three_distinct_steps(self):
+        prob = gbm_problem()
+        with pytest.raises(ValueError, match="3 distinct step sizes"):
+            estimate_strong_order(prob, "milstein", [0.5, 0.5, 0.5], 100, [1.0], 1.0)
+
+    @pytest.mark.parametrize("steps", [[0.0, 0.5, 0.25], [float("nan"), 0.5, 0.25]])
+    def test_bad_step_rejected(self, steps):
+        with pytest.raises(ValueError, match="positive and finite"):
+            estimate_strong_order(gbm_problem(), "milstein", steps, 10, [1.0], 1.0)
 
     def test_fine_reference_runs(self):
         prob = bilinear_problem()
