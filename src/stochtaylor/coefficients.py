@@ -20,6 +20,7 @@ import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Dict, Iterator, Tuple
 
 import numpy as np
@@ -81,8 +82,6 @@ def _profile(profile) -> WeightProfile:
 # ((l_1, j_1), ..., (l_m, j_m)) prefix (all but the outermost variable);
 # shared across tensors and profiles
 _prefix_cache: Dict[tuple, tuple] = {}
-# finished reduced coefficients, keyed by (profile, j-tuple)
-_bar_cache: Dict[tuple, Fraction] = {}
 _cache_lock = threading.Lock()
 
 
@@ -134,6 +133,14 @@ def _moment_dot(nums: tuple, l: int, j: int) -> tuple:
     return num * f * f, den * math.factorial(lo - j) * math.factorial(lo + j + 1)
 
 
+def _bar(profile: WeightProfile, j: tuple) -> Fraction:
+    """``bar_coefficient`` without argument checks, for the tensor builder."""
+    nums, den = _prefix_poly(tuple(zip(profile[:-1], j[:-1])))
+    num, mden = _moment_dot(nums, profile[-1], j[-1])
+    k, L = profile.k, profile.total_weight
+    return Fraction((-1) ** L * 2 ** (k + L) * num, den * mden)
+
+
 def bar_coefficient(profile, j) -> Fraction:
     """Exact reduced Fourier-Legendre coefficient for multi-index ``j``.
 
@@ -151,17 +158,7 @@ def bar_coefficient(profile, j) -> Fraction:
         raise ValueError(f"multi-index length {len(j)} != multiplicity {profile.k}")
     if any(v < 0 for v in j):
         raise ValueError("multi-index entries must be non-negative")
-    key = (profile, j)
-    cached = _bar_cache.get(key)
-    if cached is not None:
-        return cached
-    nums, den = _prefix_poly(tuple(zip(profile[:-1], j[:-1])))
-    num, mden = _moment_dot(nums, profile[-1], j[-1])
-    k, L = profile.k, profile.total_weight
-    value = Fraction((-1) ** L * 2 ** (k + L) * num, den * mden)
-    with _cache_lock:
-        _bar_cache.setdefault(key, value)
-    return value
+    return _bar(profile, j)
 
 
 def check_step(T_minus_t) -> None:
@@ -238,33 +235,30 @@ def exact_norm(profile) -> ExactNorm:
 # ---------------------------------------------------------------------------
 
 
-def _box(p: int, k: int) -> Iterator[Tuple[int, ...]]:
-    idx = [0] * k
-    while True:
-        yield tuple(idx)
-        m = k - 1
-        while m >= 0 and idx[m] == p:
-            idx[m] = 0
-            m -= 1
-        if m < 0:
-            return
-        idx[m] += 1
+def _shell(q: int, k: int) -> Iterator[Tuple[int, ...]]:
+    """Multi-indices of {0..q}^k whose largest entry is q, by first such entry."""
+    for m in range(k):
+        for head in product(range(q), repeat=m):
+            for tail in product(range(q + 1), repeat=k - m - 1):
+                yield head + (q,) + tail
 
 
 class CoeffTensor:
     """All reduced coefficients of one profile over the box {0..p}^k.
 
     Immutable after construction.  ``values`` maps each multi-index tuple
-    (j_1 .. j_k, innermost first) to the exact rational reduced coefficient.
+    (j_1 .. j_k, innermost first) to the exact rational reduced coefficient;
+    ``build_tensor`` supplies the float array and its level sums with it.
     """
 
-    def __init__(self, profile: WeightProfile, p: int, values: Dict[tuple, Fraction]):
+    def __init__(self, profile: WeightProfile, p: int, values: Dict[tuple, Fraction],
+                 scaled: np.ndarray, sq_sums_float: list, sq_sums: list):
         self.profile = _profile(profile)
         self.p = int(p)
         self.values = values
-        self._scaled: np.ndarray | None = None
-        self._sq_sums: list | None = None
-        self._sq_sums_float: list | None = None
+        self._scaled = scaled
+        self._sq_sums_float = sq_sums_float
+        self._sq_sums = sq_sums  # exact level sums, extended on demand
 
     def __getitem__(self, j):
         return self.values[tuple(j)]
@@ -279,32 +273,18 @@ class CoeffTensor:
         i.e. the Fourier coefficient at T - t = 1 with the ``(T-t)`` power
         stripped; shape ``(p+1,) * k``.
         """
-        if self._scaled is None:
-            k, L = self.profile.k, self.profile.total_weight
-            arr = np.empty((self.p + 1,) * k, dtype=np.float64)
-            for j, bar in self.values.items():
-                arr[j] = float(bar)
-            root = np.sqrt(2.0 * np.arange(self.p + 1) + 1.0)
-            for axis in range(k):
-                shape = [1] * k
-                shape[axis] = self.p + 1
-                arr *= root.reshape(shape)
-            arr *= 2.0 ** -(k + L)
-            self._scaled = arr
         return self._scaled
 
     def squared_sum_exact(self, p: int):
         """Exact rational Parseval sum over the sub-box {0..p}^k at T-t = 1."""
         if p > self.p:
             raise ValueError(f"requested p={p} exceeds tensor cap {self.p}")
-        if self._sq_sums is None:
-            by_level = [Fraction(0)] * (self.p + 1)
-            for j, bar in self.values.items():
-                by_level[max(j)] += _normalized_rational_sq(self.profile, j, bar)
-            acc = Fraction(0)
-            partial = []
-            for level_sum in by_level:
-                acc = acc + level_sum
+        if len(self._sq_sums) <= p:
+            partial = list(self._sq_sums)
+            acc = partial[-1] if partial else Fraction(0)
+            for q in range(len(partial), self.p + 1):
+                acc += sum((_normalized_rational_sq(self.profile, j, self.values[j])
+                            for j in _shell(q, self.profile.k)), Fraction(0))
                 partial.append(acc)
             self._sq_sums = partial
         return self._sq_sums[p]
@@ -313,31 +293,53 @@ class CoeffTensor:
         """Parseval sum over the sub-box {0..p}^k at T-t = 1, in float64."""
         if p > self.p:
             raise ValueError(f"requested p={p} exceeds tensor cap {self.p}")
-        if self._sq_sums_float is None:
-            sq = self.scaled_array() ** 2
-            k = self.profile.k
-            self._sq_sums_float = [
-                float(sq[(slice(0, q + 1),) * k].sum()) for q in range(self.p + 1)
-            ]
         return self._sq_sums_float[p]
+
+
+# largest tensor built so far per profile, reused by planner and errors
+_tensor_cache: Dict[WeightProfile, CoeffTensor] = {}
+_tensor_lock = threading.Lock()
 
 
 def build_tensor(profile, p: int, entry_ceiling: int = DEFAULT_ENTRY_CEILING) -> CoeffTensor:
     """Compute every reduced coefficient over the box {0..p}^k.
 
-    Deterministic; entries already known from previous builds are reused.
-    Raises ``ValueError`` when the box would exceed ``entry_ceiling`` entries.
+    Deterministic.  The cached tensor of the profile, when its cap is at most
+    ``p``, is extended over the new shells max(j) = q only: its exact values,
+    float entries and level sums are copied, and each new entry is computed
+    once.  Raises ``ValueError`` when the box would exceed ``entry_ceiling``
+    entries.
     """
     profile = _profile(profile)
     if p < 0:
         raise ValueError("cap p must be non-negative")
-    n_entries = (p + 1) ** profile.k
+    k, L = profile.k, profile.total_weight
+    n_entries = (p + 1) ** k
     if n_entries > entry_ceiling:
         raise ValueError(
-            f"box {(p + 1)}^{profile.k} = {n_entries} entries exceeds ceiling {entry_ceiling}"
+            f"box {(p + 1)}^{k} = {n_entries} entries exceeds ceiling {entry_ceiling}"
         )
-    values = {j: bar_coefficient(profile, j) for j in _box(p, profile.k)}
-    return CoeffTensor(profile, p, values)
+    values, sq_sums, exact_sums = {}, [], []
+    scaled = np.empty((p + 1,) * k, dtype=np.float64)
+    with _tensor_lock:
+        base = _tensor_cache.get(profile)
+    if base is not None and base.p <= p:
+        values.update(base.values)
+        scaled[(slice(0, base.p + 1),) * k] = base._scaled
+        sq_sums, exact_sums = base._sq_sums_float[:], base._sq_sums[:]
+    root = np.sqrt(2.0 * np.arange(p + 1) + 1.0)
+    for q in range(len(sq_sums), p + 1):
+        shell = list(_shell(q, k))
+        bars = [_bar(profile, j) for j in shell]
+        values.update(zip(shell, bars))
+        idx = tuple(np.array(shell).T)
+        entries = np.array([float(bar) for bar in bars])
+        for axis in range(k):
+            entries *= root[idx[axis]]
+        entries *= 2.0 ** -(k + L)
+        scaled[idx] = entries
+        sq_sums.append((sq_sums[-1] if q else 0.0) + float((entries * entries).sum()))
+    return CoeffTensor(profile, p, values, scaled, sq_sums, exact_sums)
 
 
 def squared_sum(profile, p: int, T_minus_t: float = 1.0) -> float:
@@ -353,11 +355,6 @@ def parseval_defect(profile, p: int):
     profile = _profile(profile)
     t = get_tensor(profile, p)
     return exact_norm(profile).value - t.squared_sum_exact(p)
-
-
-# largest tensor built so far per profile, reused by planner and errors
-_tensor_cache: Dict[WeightProfile, CoeffTensor] = {}
-_tensor_lock = threading.Lock()
 
 
 def get_tensor(profile, p: int) -> CoeffTensor:
@@ -378,12 +375,11 @@ def get_tensor(profile, p: int) -> CoeffTensor:
 
 
 def clear_caches() -> None:
-    """Drop all memoized polynomials, coefficients, tensors, and errors."""
+    """Drop all memoized prefix polynomials, tensors, norms and errors."""
     from .errors import _norm_err_cache  # errors imports this module
 
     with _cache_lock:
         _prefix_cache.clear()
-        _bar_cache.clear()
     with _tensor_lock:
         _tensor_cache.clear()
     _norm_cache.clear()

@@ -20,13 +20,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from .coefficients import (
-    CoeffTensor,
-    WeightProfile,
-    check_step,
-    exact_norm,
-    get_tensor,
-)
+from .coefficients import WeightProfile, check_step, exact_norm, get_tensor
 
 __all__ = [
     "IndexPattern",
@@ -151,7 +145,7 @@ class ErrorResult:
 _norm_err_cache: dict[tuple, float] = {}
 
 
-def normalized_error(profile, pattern: IndexPattern, p: int, tensor: CoeffTensor | None = None) -> float:
+def normalized_error(profile, pattern: IndexPattern, p: int) -> float:
     """Truncation error at T - t = 1, normalization of the error tables."""
     profile = WeightProfile(profile)
     if pattern.k != profile.k:
@@ -160,8 +154,7 @@ def normalized_error(profile, pattern: IndexPattern, p: int, tensor: CoeffTensor
     cached = _norm_err_cache.get(key)
     if cached is not None:
         return cached
-    if tensor is None or tensor.p < p:
-        tensor = get_tensor(profile, p)
+    tensor = get_tensor(profile, p)
     arr = tensor.scaled_array()
     if tensor.p > p:
         arr = arr[(slice(0, p + 1),) * profile.k]

@@ -72,9 +72,6 @@ class PlannerCapError(RuntimeError):
     """Search exceeded the configured cap without satisfying the condition."""
 
 
-_GROWTH_CHUNK = {1: 64, 2: 32, 3: 8, 4: 3, 5: 2, 6: 1}
-
-
 def _minimal_order_pair_closed_form(condition: Condition, T_minus_t: float) -> int:
     """Closed-form search for the (0,0) distinct case, exact at boundaries."""
     h = Fraction(T_minus_t)
@@ -96,20 +93,15 @@ def _minimal_order_pair_closed_form(condition: Condition, T_minus_t: float) -> i
 
 
 def _ascend(profile: WeightProfile, search_cap: int | None, ok, goal: str) -> int:
-    """First cap ``p = 0, 1, ...`` with ``ok(p, tensor)``; the tensor grows in
-    blocks that shrink with multiplicity, so no step rebuilds it.  The cap
-    never exceeds the Legendre degree ceiling ``MAX_DEGREE``."""
+    """First cap ``p = 0, 1, ...`` with ``ok(p)``; each probe grows the
+    profile's tensor by at most one shell.  The cap never exceeds the
+    Legendre degree ceiling ``MAX_DEGREE``."""
     if search_cap is None:
         search_cap = MAX_DEGREE if profile.k <= 2 else DEFAULT_CAP_HIGH
     cap = min(search_cap, MAX_DEGREE)
-    step = _GROWTH_CHUNK[profile.k]
-    p = 0
-    while p <= cap:
-        tensor = get_tensor(profile, min(cap, max(p, step * (p // step + 1))))
-        while p <= min(tensor.p, cap):
-            if ok(p, tensor):
-                return p
-            p += 1
+    for p in range(cap + 1):
+        if ok(p):
+            return p
     raise PlannerCapError(f"no cap <= {cap} satisfies {goal}")
 
 
@@ -127,8 +119,8 @@ def minimal_order(profile, pattern: IndexPattern, condition: Condition,
     exponent = profile.k + 2 * profile.total_weight
     norm_threshold = condition.threshold(T_minus_t) / T_minus_t**exponent
 
-    def ok(p, tensor):
-        err = normalized_error(profile, pattern, p, tensor)
+    def ok(p):
+        err = normalized_error(profile, pattern, p)
         return err < norm_threshold if condition.strict else err <= norm_threshold
 
     return _ascend(profile, search_cap, ok,
@@ -146,8 +138,8 @@ def minimal_order_kfact(profile, condition: Condition, T_minus_t: float,
     exponent = profile.k + 2 * profile.total_weight
     norm = float(exact_norm(profile).value)
 
-    def ok(p, tensor):
-        defect = norm - tensor.squared_sum_float(p)
+    def ok(p):
+        defect = norm - get_tensor(profile, p).squared_sum_float(p)
         bound = kfact * defect * T_minus_t**exponent
         return bound < thr if condition.strict else bound <= thr
 

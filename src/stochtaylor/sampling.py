@@ -298,5 +298,7 @@ def zetas_from_increments(increments: np.ndarray, p: int, T_minus_t: float) -> G
 def wiener_increments(rng: np.random.Generator, m: int, N: int, T_minus_t: float,
                       paths: int | None = None) -> np.ndarray:
     """Draw Wiener increments over a uniform N-point grid."""
+    if N < 2:
+        raise ValueError(f"need at least a 2-point grid, got N={N}")
     shape = (m, N) if paths is None else (paths, m, N)
     return rng.standard_normal(shape) * math.sqrt(T_minus_t / N)

@@ -167,6 +167,13 @@ class TestSubcommands:
         assert code == 1
         assert "paths must be at least 1, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["0", "-2"])
+    def test_mse_grid_rejected(self, capsys, grid):
+        code, _ = run_cli("mse", "--spec", "00", "--i", "1,2", "--p", "0",
+                          "--grid", grid, "--paths", "10")
+        assert code == 1
+        assert f"need at least a 2-point grid, got N={grid}" in capsys.readouterr().err
+
     def test_order(self):
         code, out = run_cli("order", "--scheme", "euler", "--problem", "gbm",
                             "--steps", "0.125,0.0625,0.03125", "--paths", "500",

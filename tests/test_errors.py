@@ -335,7 +335,7 @@ class TestStructure:
 
     def test_clear_caches_drops_errors(self, monkeypatch):
         # private empty caches, so clearing them leaves the rest of the suite warm
-        for name in ("_prefix_cache", "_bar_cache", "_tensor_cache", "_norm_cache"):
+        for name in ("_prefix_cache", "_tensor_cache", "_norm_cache"):
             monkeypatch.setattr(coefficients, name, {})
         monkeypatch.setattr(errors, "_norm_err_cache", {})
         profile, pattern = (0, 1, 0), IndexPattern.distinct(3)

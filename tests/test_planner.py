@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from stochtaylor import coefficients
+from stochtaylor import coefficients, errors
 from stochtaylor.coefficients import get_tensor
 from stochtaylor.errors import IndexPattern, exact_error
 from stochtaylor.planner import (
@@ -82,6 +82,31 @@ class TestMinimalOrder:
                     break
                 slow += 1
             assert fast == slow
+
+    @pytest.mark.parametrize("profile,exp,h,q", [
+        ((0, 1), 5, 0.010, 4),
+        ((0, 0, 0), 4, 0.011, 12),
+        ((0, 0, 0, 0), 5, 0.0040, 16),
+    ])
+    def test_search_builds_each_entry_once_up_to_the_answer(self, monkeypatch,
+                                                            profile, exp, h, q):
+        # private empty caches stand in for clear_caches() and keep the rest
+        # of the suite warm
+        for name in ("_prefix_cache", "_tensor_cache", "_norm_cache"):
+            monkeypatch.setattr(coefficients, name, {})
+        monkeypatch.setattr(errors, "_norm_err_cache", {})
+        calls = []
+        moment_dot = coefficients._moment_dot
+
+        def counting_moment_dot(*args):
+            calls.append(args)
+            return moment_dot(*args)
+
+        monkeypatch.setattr(coefficients, "_moment_dot", counting_moment_dot)
+        k = len(profile)
+        assert minimal_order(profile, IndexPattern.distinct(k), Condition(exp), h) == q
+        assert coefficients._tensor_cache[profile].p == q
+        assert len(calls) == (q + 1) ** k
 
     def test_cap_guard(self):
         with pytest.raises(PlannerCapError):
