@@ -35,8 +35,8 @@ for scheme in ("euler", "milstein", "t15"):
 # draws its noise independently, so the mean absolute difference floors at
 # the distributional spread: the reported slope measures that floor, not the
 # strong order.  Coupled coarse/fine noise for multiplicity >= 2 integrals
-# is an open problem; exact-solution coupling (GBM above) is the meaningful
-# estimator.
+# is ROADMAP item 6; until then exact-solution coupling (GBM above) is the
+# meaningful estimator.
 bil = bilinear_problem()
 est = estimate_strong_order(bil, "milstein", [2.0**-3, 2.0**-4, 2.0**-5],
                             paths=2000, x0=[1.0, -0.5], T=0.5, seed=5,

@@ -34,6 +34,7 @@ __all__ = [
     "bar_coefficient",
     "scaled_coefficient",
     "check_step",
+    "check_cap",
     "exact_norm",
     "build_tensor",
     "parseval_defect",
@@ -165,6 +166,12 @@ def check_step(T_minus_t) -> None:
     """Reject a step length ``T - t`` that is not a positive finite number."""
     if not (math.isfinite(T_minus_t) and T_minus_t > 0):
         raise ValueError(f"T_minus_t must be positive and finite, got {T_minus_t!r}")
+
+
+def check_cap(p: int) -> None:
+    """Reject a negative truncation cap ``p``."""
+    if p < 0:
+        raise ValueError(f"cap p must be non-negative, got p={p}")
 
 
 def scaled_coefficient(profile, j, T_minus_t: float) -> float:
@@ -311,8 +318,7 @@ def build_tensor(profile, p: int, entry_ceiling: int = DEFAULT_ENTRY_CEILING) ->
     entries.
     """
     profile = _profile(profile)
-    if p < 0:
-        raise ValueError("cap p must be non-negative")
+    check_cap(p)
     k, L = profile.k, profile.total_weight
     n_entries = (p + 1) ** k
     if n_entries > entry_ceiling:

@@ -20,7 +20,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from .coefficients import WeightProfile, check_step, exact_norm, get_tensor
+from .coefficients import WeightProfile, check_cap, check_step, exact_norm, get_tensor
 
 __all__ = [
     "IndexPattern",
@@ -178,8 +178,7 @@ def exact_error(profile, pattern: IndexPattern, p: int, T_minus_t: float) -> Err
     within-block permutation group of ``pattern``.
     """
     profile = WeightProfile(profile)
-    if p < 0:
-        raise ValueError("cap p must be non-negative")
+    check_cap(p)
     check_step(T_minus_t)
     norm = normalized_error(profile, pattern, p)
     e = profile.k + 2 * profile.total_weight

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from .coefficients import WeightProfile, check_step, get_tensor
+from .coefficients import WeightProfile, check_cap, check_step, get_tensor
 from .legendre import eval_phi
 
 __all__ = [
@@ -77,10 +77,7 @@ def enumerate_pair_partitions(k: int, r: int) -> List[PairPartition]:
 
 
 def _all_partitions(k: int) -> List[PairPartition]:
-    parts: List[PairPartition] = []
-    for r in range(1, k // 2 + 1):
-        parts.extend(enumerate_pair_partitions(k, r))
-    return parts
+    return [part for r in range(k // 2 + 1) for part in enumerate_pair_partitions(k, r)]
 
 
 @dataclass(frozen=True)
@@ -151,44 +148,43 @@ def make_panel(rng: np.random.Generator, m: int, p_max: int,
     return GaussianPanel(rng.standard_normal(shape))
 
 
-def _bracket_terms(spec: IntegralSpec, p: int, panel: GaussianPanel,
-                   coeff: np.ndarray) -> np.ndarray:
-    """Sum over the truncated box of coefficient times Wick bracket."""
-    k = spec.k
+def _bracket_terms(spec: IntegralSpec, p: int, panel: GaussianPanel) -> np.ndarray:
+    """Sum over the truncated box of coefficient times Wick bracket.
+
+    Each pair partition joining equal components adds (-1)^r times the
+    coefficients summed over its pairs' diagonals, contracted with the
+    singletons' zetas; r = 0 is the plain product.
+    """
+    coeff = _coeff_array(spec, p)
     idx = spec.wiener_indices
-    zs = [panel.component(i, p) for i in idx]
-    letters = "abcdef"[:k]
-    total = _plain_product(coeff, zs)
-    # pair-partition corrections
-    n_paths = zs[0].shape[0]
-    for part in _all_partitions(k):
+    total = 0.0
+    for part in _all_partitions(spec.k):
         if any(idx[a - 1] != idx[b - 1] for a, b in part.pairs):
             continue
-        sub = list(letters)
+        axes = list(range(spec.k))
         for a, b in part.pairs:
-            sub[b - 1] = sub[a - 1]
-        if part.singletons:
-            operands = [zs[q - 1] for q in part.singletons]
-            lhs = ["".join(sub)] + ["z" + sub[q - 1] for q in part.singletons]
-            term = np.einsum(",".join(lhs) + "->z", coeff, *operands, optimize=True)
-        else:
-            term = np.full(n_paths, np.einsum("".join(sub) + "->", coeff))
-        total = total + (-1.0) ** part.r * term
+            axes[b - 1] = axes[a - 1]
+        kept = [axes[q - 1] for q in part.singletons]
+        traced = np.einsum(coeff, axes, kept) if part.pairs else coeff
+        zs = [panel.component(idx[q - 1], p) for q in part.singletons]
+        total = total + (-1.0) ** part.r * _plain_product(traced, zs)
     return total
 
 
 def _plain_product(coeff: np.ndarray, zs) -> np.ndarray:
-    """Per-path sum over the box of coefficient times the plain zeta product."""
-    letters = "abcdef"[:len(zs)]
-    expr = ",".join([letters] + [f"z{c}" for c in letters]) + "->z"
-    return np.einsum(expr, coeff, *zs, optimize=True)
+    """Per-path sum over the box of coefficient times the plain zeta product.
+
+    Axis q of ``coeff`` pairs with ``zs[q]`` (paths, p + 1).  The leading axis
+    is contracted one degree at a time, so no intermediate outgrows a vector
+    over paths; the last is a matrix-vector product.  No zetas: ``coeff``.
+    """
+    if len(zs) <= 1:
+        return zs[0] @ coeff if zs else coeff
+    return sum(zs[0][:, j] * _plain_product(coeff[j], zs[1:]) for j in range(len(coeff)))
 
 
 def _coeff_array(spec: IntegralSpec, p: int) -> np.ndarray:
-    tensor = get_tensor(spec.profile, p)
-    arr = tensor.scaled_array()
-    if tensor.p > p:
-        arr = arr[(slice(0, p + 1),) * spec.k]
+    arr = get_tensor(spec.profile, p).scaled_array()[(slice(0, p + 1),) * spec.k]
     k, L = spec.profile.k, spec.profile.total_weight
     return arr * spec.T_minus_t ** (k / 2 + L)
 
@@ -222,11 +218,11 @@ def sample_ito(spec: IntegralSpec, p: int, panel: GaussianPanel):
     Returns a scalar for a single panel, an array of per-path values for a
     batched panel.
     """
+    check_cap(p)
     if spec.profile == (0, 0):
         total = _sample_pair00(spec, p, panel)
     else:
-        coeff = _coeff_array(spec, p)
-        total = _bracket_terms(spec, p, panel, coeff)
+        total = _bracket_terms(spec, p, panel)
     return total if panel.batched else float(total[0])
 
 
@@ -236,6 +232,7 @@ def sample_stratonovich(spec: IntegralSpec, p: int, panel: GaussianPanel):
     For multiplicity 2 with equal components this differs from the Ito value
     by the truncated diagonal sum of coefficients.
     """
+    check_cap(p)
     zs = [panel.component(i, p) for i in spec.wiener_indices]
     total = _plain_product(_coeff_array(spec, p), zs)
     return total if panel.batched else float(total[0])
@@ -283,6 +280,7 @@ def zetas_from_increments(increments: np.ndarray, p: int, T_minus_t: float) -> G
     ``zeta_j^(i) = sum_l phi_j(s_l) dW_l^(i)`` with left-endpoint evaluation,
     so expansion and oracle share one probability space.
     """
+    check_cap(p)
     arr = np.asarray(increments, dtype=np.float64)
     single = arr.ndim == 2
     if single:

@@ -8,15 +8,18 @@ elementary identities are checked exactly.
 
 import math
 from itertools import product
+from typing import List
 
 import numpy as np
 import pytest
 
-from stochtaylor.coefficients import WeightProfile, scaled_coefficient
+from stochtaylor import coefficients
+from stochtaylor.coefficients import WeightProfile, get_tensor, scaled_coefficient
 from stochtaylor.errors import IndexPattern, exact_error
 from stochtaylor.sampling import (
     GaussianPanel,
     IntegralSpec,
+    PairPartition,
     discretization_oracle,
     enumerate_pair_partitions,
     make_panel,
@@ -106,6 +109,65 @@ def transcribe_k5(spec, p, z):
                 term += z(i[single], jj[single])
         total += c * term
     return total
+
+
+# The einsum contraction the samplers used before the one-loop Wick sum,
+# kept verbatim (with its coefficient slicing) as the per-path oracle.
+def _all_partitions(k: int) -> List[PairPartition]:
+    parts: List[PairPartition] = []
+    for r in range(1, k // 2 + 1):
+        parts.extend(enumerate_pair_partitions(k, r))
+    return parts
+
+
+def _bracket_terms(spec: IntegralSpec, p: int, panel: GaussianPanel,
+                   coeff: np.ndarray) -> np.ndarray:
+    """Sum over the truncated box of coefficient times Wick bracket."""
+    k = spec.k
+    idx = spec.wiener_indices
+    zs = [panel.component(i, p) for i in idx]
+    letters = "abcdef"[:k]
+    total = _plain_product(coeff, zs)
+    # pair-partition corrections
+    n_paths = zs[0].shape[0]
+    for part in _all_partitions(k):
+        if any(idx[a - 1] != idx[b - 1] for a, b in part.pairs):
+            continue
+        sub = list(letters)
+        for a, b in part.pairs:
+            sub[b - 1] = sub[a - 1]
+        if part.singletons:
+            operands = [zs[q - 1] for q in part.singletons]
+            lhs = ["".join(sub)] + ["z" + sub[q - 1] for q in part.singletons]
+            term = np.einsum(",".join(lhs) + "->z", coeff, *operands, optimize=True)
+        else:
+            term = np.full(n_paths, np.einsum("".join(sub) + "->", coeff))
+        total = total + (-1.0) ** part.r * term
+    return total
+
+
+def _plain_product(coeff: np.ndarray, zs) -> np.ndarray:
+    """Per-path sum over the box of coefficient times the plain zeta product."""
+    letters = "abcdef"[:len(zs)]
+    expr = ",".join([letters] + [f"z{c}" for c in letters]) + "->z"
+    return np.einsum(expr, coeff, *zs, optimize=True)
+
+
+def _coeff_array(spec: IntegralSpec, p: int) -> np.ndarray:
+    tensor = get_tensor(spec.profile, p)
+    arr = tensor.scaled_array()
+    if tensor.p > p:
+        arr = arr[(slice(0, p + 1),) * spec.k]
+    k, L = spec.profile.k, spec.profile.total_weight
+    return arr * spec.T_minus_t ** (k / 2 + L)
+
+
+def _equality_patterns(k, m):
+    """Index tuples over 1..m, one per pattern of equal components."""
+    if k == 0:
+        return [()]
+    return [head + (i,) for head in _equality_patterns(k - 1, m)
+            for i in range(1, min(m, max(head, default=0) + 1) + 1)]
 
 
 class TestPairPartitions:
@@ -262,6 +324,59 @@ class TestStratonovich:
                 term *= float(panel.data[spec.wiener_indices[m] - 1, jm])
             expect += term
         assert got == pytest.approx(expect, rel=1e-10)
+
+
+class TestContractionOracle:
+    # every index tuple for k <= 3; every pattern of equal components, so
+    # repeats in adjacent and non-adjacent positions, for k = 4 and 5
+    CAPS = {1: 6, 2: 5, 3: 4, 4: 3, 5: 2}
+
+    @pytest.mark.parametrize("profile", [
+        (0,), (1,), (0, 1), (1, 0), (2, 1), (0, 0, 0), (0, 0, 1), (0, 1, 0),
+        (1, 0, 0), (0,) * 4, (0, 0, 0, 1), (0,) * 5,
+    ])
+    def test_per_path_values_match_einsum(self, profile):
+        k = len(profile)
+        p = self.CAPS[k]
+        batched = make_panel(np.random.default_rng(sum(profile) + 10 * k), 3, p, paths=64)
+        single = GaussianPanel(batched.data[1])
+        tuples = (list(product((1, 2, 3), repeat=k)) if k <= 3
+                  else _equality_patterns(k, 3))
+        for indices in tuples:
+            spec = IntegralSpec(profile, indices, 0.7)
+            coeff = _coeff_array(spec, p)
+            for panel in (batched, single):
+                zs = [panel.component(i, p) for i in indices]
+                for new, old in [(sample_ito, _bracket_terms(spec, p, panel, coeff)),
+                                 (sample_stratonovich, _plain_product(coeff, zs))]:
+                    got = np.atleast_1d(new(spec, p, panel))
+                    assert got.shape == old.shape
+                    tol = 1e-12 * max(1.0, np.abs(old).max())
+                    assert np.abs(got - old).max() <= tol, (new.__name__, indices)
+
+
+class TestNegativeCap:
+    # a warm tensor cache must not turn a negative cap into a silent zero
+    @pytest.fixture(params=["cold", "warm"])
+    def cache(self, request, monkeypatch):
+        monkeypatch.setattr(coefficients, "_tensor_cache", {})
+        if request.param == "warm":
+            get_tensor((0, 0, 0), 2)
+            get_tensor((0, 0), 2)
+
+    @pytest.mark.parametrize("sampler", [sample_ito, sample_stratonovich])
+    @pytest.mark.parametrize("profile,indices,p", [
+        ((0, 0, 0), (1, 2, 3), -1), ((0, 0), (1, 2), -1), ((0, 0), (1, 1), -3),
+    ])
+    def test_samplers_reject(self, cache, sampler, profile, indices, p):
+        panel = make_panel(np.random.default_rng(0), 3, 2, paths=4)
+        with pytest.raises(ValueError, match=f"cap p must be non-negative, got p={p}"):
+            sampler(IntegralSpec(profile, indices, 1.0), p, panel)
+
+    def test_zetas_from_increments_rejects(self, cache):
+        inc = wiener_increments(np.random.default_rng(0), 2, 16, 1.0, paths=3)
+        with pytest.raises(ValueError, match="cap p must be non-negative, got p=-1"):
+            zetas_from_increments(inc, -1, 1.0)
 
 
 class TestDiscretizationOracle:
