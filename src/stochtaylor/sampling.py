@@ -14,6 +14,7 @@ small-sample mean-square comparisons meaningful.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import List, Tuple
@@ -76,8 +77,9 @@ def enumerate_pair_partitions(k: int, r: int) -> List[PairPartition]:
     return out
 
 
-def _all_partitions(k: int) -> List[PairPartition]:
-    return [part for r in range(k // 2 + 1) for part in enumerate_pair_partitions(k, r)]
+@functools.cache
+def _all_partitions(k: int) -> Tuple[PairPartition, ...]:
+    return tuple(part for r in range(k // 2 + 1) for part in enumerate_pair_partitions(k, r))
 
 
 @dataclass(frozen=True)
@@ -243,6 +245,23 @@ def sample_stratonovich(spec: IntegralSpec, p: int, panel: GaussianPanel):
 # ---------------------------------------------------------------------------
 
 
+# Paths per oracle block are this many grid elements over N, so each of the
+# oracle's two (rows, N) buffers stays cache-sized whatever the path count.
+_BLOCK_ELEMENTS = 2**15
+
+
+def _grid_array(increments) -> Tuple[np.ndarray, bool]:
+    """Increments as a (paths, m, N) float array with N >= 2, and whether the
+    input was a single (m, N) path."""
+    arr = np.asarray(increments, dtype=np.float64)
+    if arr.ndim not in (2, 3):
+        raise ValueError(f"increments must be (m, N) or (paths, m, N), got shape {arr.shape}")
+    if arr.shape[-1] < 2:
+        raise ValueError(f"need at least a 2-point grid, got N={arr.shape[-1]}")
+    single = arr.ndim == 2
+    return (arr[np.newaxis, ...] if single else arr), single
+
+
 def discretization_oracle(spec: IntegralSpec, increments: np.ndarray):
     """Left-point iterated Riemann-Ito sum over a uniform grid.
 
@@ -250,28 +269,44 @@ def discretization_oracle(spec: IntegralSpec, increments: np.ndarray):
     step interval, shaped (m, N) or (paths, m, N).  Nesting is innermost
     first: level m accumulates ``sum_l w_m(s_l) S_{m-1}(l) dW_l^(i_m)`` with
     ``w_m(s) = (-s)^{l_m}`` for time offset s from the interval start.
+
+    Paths are streamed in blocks through two preallocated cache-sized
+    buffers, so no temporary grows with the path count.  Each level forms
+    ``(S_{m-1} * w_m) * dW`` and a sequential cumulative sum, the same
+    operations in the same order for every block size.
     """
-    arr = np.asarray(increments, dtype=np.float64)
-    single = arr.ndim == 2
-    if single:
-        arr = arr[np.newaxis, ...]
+    arr, single = _grid_array(increments)
     paths, m, N = arr.shape
-    if N < 2:
-        raise ValueError("need at least a 2-point grid")
     if max(spec.wiener_indices) > m:
         raise ValueError("increments cover fewer components than the integral needs")
     dt = spec.T_minus_t / N
     s_left = np.arange(N) * dt
-    running = np.ones((paths, N))
-    for m_, (l, i) in enumerate(zip(spec.profile, spec.wiener_indices)):
-        weight = (-s_left) ** l if l else 1.0
-        contrib = running * weight * arr[:, i - 1, :]
-        csum = np.cumsum(contrib, axis=1)
-        if m_ == spec.k - 1:
-            return csum[:, -1] if not single else float(csum[0, -1])
-        # shift: inner integral evaluated at the left endpoint of the next level
-        running = np.concatenate([np.zeros((paths, 1)), csum[:, :-1]], axis=1)
-    raise AssertionError("unreachable")
+    weights = [(-s_left) ** l if l else None for l in spec.profile]
+    rows = max(1, min(paths, _BLOCK_ELEMENTS // N))
+    c_buf, d_buf = np.empty((rows, N)), np.empty((rows, N))
+    out = np.empty(paths)
+    for a in range(0, paths, rows):
+        b = min(a + rows, paths)
+        c, d = c_buf[: b - a], d_buf[: b - a]
+        for level, (w, i) in enumerate(zip(weights, spec.wiener_indices)):
+            dW = arr[a:b, i - 1, :]
+            if level == 0:
+                if w is None:
+                    np.copyto(c, dW)
+                else:
+                    np.multiply(w, dW, out=c)
+            else:
+                # the inner integral enters at the left endpoint: shift by one
+                d[:, 0] = 0.0
+                if w is None:
+                    np.multiply(c[:, :-1], dW[:, 1:], out=d[:, 1:])
+                else:
+                    np.multiply(c[:, :-1], w[1:], out=d[:, 1:])
+                    d[:, 1:] *= dW[:, 1:]
+                c, d = d, c
+            np.cumsum(c, axis=1, out=c)
+        out[a:b] = c[:, -1]
+    return float(out[0]) if single else out
 
 
 def zetas_from_increments(increments: np.ndarray, p: int, T_minus_t: float) -> GaussianPanel:
@@ -281,11 +316,9 @@ def zetas_from_increments(increments: np.ndarray, p: int, T_minus_t: float) -> G
     so expansion and oracle share one probability space.
     """
     check_cap(p)
-    arr = np.asarray(increments, dtype=np.float64)
-    single = arr.ndim == 2
-    if single:
-        arr = arr[np.newaxis, ...]
-    paths, m, N = arr.shape
+    check_step(T_minus_t)
+    arr, single = _grid_array(increments)
+    N = arr.shape[-1]
     dt = T_minus_t / N
     s_left = np.arange(N) * dt
     phi = np.array([[eval_phi(j, s, 0.0, T_minus_t) for s in s_left] for j in range(p + 1)])
@@ -298,5 +331,10 @@ def wiener_increments(rng: np.random.Generator, m: int, N: int, T_minus_t: float
     """Draw Wiener increments over a uniform N-point grid."""
     if N < 2:
         raise ValueError(f"need at least a 2-point grid, got N={N}")
+    if m < 1:
+        raise ValueError(f"need at least one Wiener component, got m={m}")
+    if paths is not None and paths < 1:
+        raise ValueError(f"need at least one path, got paths={paths}")
+    check_step(T_minus_t)
     shape = (m, N) if paths is None else (paths, m, N)
     return rng.standard_normal(shape) * math.sqrt(T_minus_t / N)

@@ -7,6 +7,7 @@ elementary identities are checked exactly.
 """
 
 import math
+import tracemalloc
 from itertools import product
 from typing import List
 
@@ -160,6 +161,32 @@ def _coeff_array(spec: IntegralSpec, p: int) -> np.ndarray:
         arr = arr[(slice(0, p + 1),) * spec.k]
     k, L = spec.profile.k, spec.profile.total_weight
     return arr * spec.T_minus_t ** (k / 2 + L)
+
+
+# The discretization oracle before it streamed path blocks, kept verbatim as
+# the reference the blocked one must equal bit for bit.
+def _whole_array_oracle(spec: IntegralSpec, increments: np.ndarray):
+    arr = np.asarray(increments, dtype=np.float64)
+    single = arr.ndim == 2
+    if single:
+        arr = arr[np.newaxis, ...]
+    paths, m, N = arr.shape
+    if N < 2:
+        raise ValueError("need at least a 2-point grid")
+    if max(spec.wiener_indices) > m:
+        raise ValueError("increments cover fewer components than the integral needs")
+    dt = spec.T_minus_t / N
+    s_left = np.arange(N) * dt
+    running = np.ones((paths, N))
+    for m_, (l, i) in enumerate(zip(spec.profile, spec.wiener_indices)):
+        weight = (-s_left) ** l if l else 1.0
+        contrib = running * weight * arr[:, i - 1, :]
+        csum = np.cumsum(contrib, axis=1)
+        if m_ == spec.k - 1:
+            return csum[:, -1] if not single else float(csum[0, -1])
+        # shift: inner integral evaluated at the left endpoint of the next level
+        running = np.concatenate([np.zeros((paths, 1)), csum[:, :-1]], axis=1)
+    raise AssertionError("unreachable")
 
 
 def _equality_patterns(k, m):
@@ -407,6 +434,47 @@ class TestDiscretizationOracle:
         with pytest.raises(ValueError):
             discretization_oracle(IntegralSpec((0, 0), (1, 2), 1.0), np.zeros((1, 8)))
 
+    # distinct, all-equal and non-adjacent repeated components over m = 3
+    CASES = [
+        ((0,), (1,)), ((0,), (3,)), ((1,), (2,)),
+        ((0, 0), (1, 2)), ((0, 0), (2, 2)), ((1, 0), (1, 1)), ((1, 0), (2, 1)),
+        ((0, 2), (1, 1)), ((0, 2), (3, 2)),
+        ((2, 1, 0), (1, 2, 3)), ((2, 1, 0), (1, 2, 1)), ((2, 1, 0), (2, 2, 2)),
+        ((0,) * 4, (1, 2, 1, 2)), ((0,) * 4, (1, 2, 3, 1)), ((0,) * 4, (3, 3, 3, 3)),
+        ((0,) * 5, (1, 1, 2, 2, 3)), ((0,) * 5, (1, 2, 3, 2, 1)), ((0,) * 5, (2,) * 5),
+    ]
+
+    # N = 2048 blocks 16 paths, so 15, 16, 17 and 37 paths give fewer paths
+    # than a block, one full block and partial last blocks; N above 2**15
+    # streams one path at a time
+    @pytest.mark.parametrize("N,paths", [
+        (N, paths) for N in (2, 3, 2048) for paths in (1, 15, 16, 17, 37)
+    ] + [(2**15 + 3, 1), (2**15 + 3, 3)])
+    def test_equals_whole_array_oracle(self, N, paths):
+        rng = np.random.default_rng(N + paths)
+        inc = wiener_increments(rng, 3, N, 0.7, paths=paths)
+        for profile, indices in self.CASES:
+            spec = IntegralSpec(profile, indices, 0.7)
+            got = discretization_oracle(spec, inc)
+            assert got.shape == (paths,)
+            assert np.array_equal(got, _whole_array_oracle(spec, inc)), (profile, indices)
+            single = discretization_oracle(spec, inc[-1])
+            assert isinstance(single, float)
+            assert single == _whole_array_oracle(spec, inc[-1]), (profile, indices)
+
+    def test_traced_peak_is_block_sized(self):
+        # the increments alone are 49 MB; the oracle's own allocations must
+        # not scale with the path count
+        inc = wiener_increments(np.random.default_rng(16), 3, 2048, 1.0, paths=1000)
+        spec = IntegralSpec((2, 1, 0), (1, 2, 3), 1.0)
+        tracemalloc.start()
+        try:
+            discretization_oracle(spec, inc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     @pytest.mark.parametrize("profile,indices,pattern", [
         ((0, 0), (1, 2), IndexPattern.distinct(2)),
         ((1, 0), (1, 2), IndexPattern.distinct(2)),
@@ -427,6 +495,44 @@ class TestDiscretizationOracle:
             exact = exact_error(WeightProfile(profile), pattern, p, 1.0).value
             allowance = len(profile) ** 2 / N
             assert abs(emp - exact) <= 4 * se + allowance
+
+
+class TestIncrementValidation:
+    SHAPE = r"increments must be \(m, N\) or \(paths, m, N\)"
+
+    @pytest.mark.parametrize("shape", [(8,), (1, 2, 2, 8)])
+    def test_oracle_rejects_shape(self, shape):
+        with pytest.raises(ValueError, match=self.SHAPE):
+            discretization_oracle(IntegralSpec((0,), (1,), 1.0), np.zeros(shape))
+
+    @pytest.mark.parametrize("shape", [(8,), (1, 2, 2, 8)])
+    def test_zetas_reject_shape(self, shape):
+        with pytest.raises(ValueError, match=self.SHAPE):
+            zetas_from_increments(np.zeros(shape), 2, 1.0)
+
+    @pytest.mark.parametrize("N", [0, 1])
+    def test_zetas_reject_short_grid(self, N):
+        with pytest.raises(ValueError, match=f"need at least a 2-point grid, got N={N}"):
+            zetas_from_increments(np.zeros((3, 1, N)), 2, 1.0)
+
+    @pytest.mark.parametrize("step", [float("nan"), 0.0, -1.0])
+    def test_zetas_reject_step(self, step):
+        with pytest.raises(ValueError, match="T_minus_t must be positive and finite"):
+            zetas_from_increments(np.zeros((3, 1, 8)), 2, step)
+
+    @pytest.mark.parametrize("step", [-1.0, float("nan"), float("inf")])
+    def test_increments_reject_step(self, step):
+        with pytest.raises(ValueError, match="T_minus_t must be positive and finite"):
+            wiener_increments(np.random.default_rng(0), 1, 8, step, paths=2)
+
+    def test_increments_reject_components(self):
+        with pytest.raises(ValueError, match="got m=0"):
+            wiener_increments(np.random.default_rng(0), 0, 8, 1.0, paths=2)
+
+    @pytest.mark.parametrize("paths", [0, -1])
+    def test_increments_reject_paths(self, paths):
+        with pytest.raises(ValueError, match=f"got paths={paths}"):
+            wiener_increments(np.random.default_rng(0), 1, 8, 1.0, paths=paths)
 
 
 class TestStatistics:
