@@ -84,6 +84,14 @@ class IndexPattern:
     def is_distinct(self) -> bool:
         return all(len(b) == 1 for b in self.blocks)
 
+    def error_vanishes(self, profile: WeightProfile) -> bool:
+        """True when every cap approximates exactly: all weights zero, one block.
+
+        Such an integral is ``h^(k/2)/k! He_k(zeta_0)`` (Kloeden and Platen
+        1992, sec. 5.2), a function of the degree-0 Gaussian alone.
+        """
+        return profile.total_weight == 0 and len(self.blocks) == 1
+
     def group_size(self) -> int:
         n = 1
         for b in self.blocks:

@@ -245,13 +245,13 @@ def case_catalog(k: int, letter: str = "") -> List[Tuple[str, WeightProfile, Ind
     ]
 
 
-def _published_cases(k, letter=""):
-    """Catalog minus the all-equal case when every weight is zero (that
-    error vanishes identically and the published grids omit the row)."""
+def _published_cases(k, letter="", profile=None):
+    """Catalog minus the cases whose error vanishes for ``profile`` (default
+    the family's own); the published grids omit those rows."""
     return [
         (lab, pr, pat)
         for lab, pr, pat in case_catalog(k, letter)
-        if not (pr.total_weight == 0 and len(pat.blocks) == 1)
+        if not pat.error_vanishes(profile or pr)
     ]
 
 
@@ -320,13 +320,11 @@ def check_hypothesis(profile, condition: Condition, T_minus_t: float) -> Hypothe
         listed = ", ".join(map(str, (_K2_PROFILES if k == 2 else _K3_PROFILES).values()))
         raise ValueError(f"no published cases for profile {tuple(profile)}; "
                          f"multiplicity {k} supports {listed}")
-    catalog = case_catalog(k, letter)
     distinct_q = minimal_order(profile, IndexPattern.distinct(k), condition, T_minus_t)
     exponent = k + 2 * profile.total_weight
     results = []
-    for label, _, pattern in catalog:
-        # the all-equal error vanishes identically only for all-zero weights
-        if pattern.is_distinct or (profile.total_weight == 0 and len(pattern.blocks) == 1):
+    for label, _, pattern in _published_cases(k, letter, profile):
+        if pattern.is_distinct:
             continue
         q = minimal_order(profile, pattern, condition, T_minus_t)
         err = normalized_error(profile, pattern, distinct_q) * T_minus_t**exponent

@@ -22,6 +22,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .coefficients import WeightProfile, check_cap, check_step, get_tensor
+from .errors import IndexPattern
 from .legendre import eval_phi
 
 __all__ = [
@@ -192,36 +193,31 @@ def _coeff_array(spec: IntegralSpec, p: int) -> np.ndarray:
 
 
 def _sample_pair00(spec: IntegralSpec, p: int, panel: GaussianPanel):
-    """All-zero-weight pair integral via its antisymmetric closed form.
+    """All-zero-weight pair integral over distinct components, closed form.
 
     The coefficient matrix is tridiagonal, so the double sum collapses to
-    ``(T-t)/2 (z0 z0' + sum_i (z_{i-1} z_i' - z_i z_{i-1}')/sqrt(4i^2-1)
-    - 1{equal components})``; for equal components the antisymmetric part
-    cancels identically, leaving ``(T-t)/2 (z0^2 - 1)`` at every cap.
+    ``(T-t)/2 (z0 z0' + sum_i (z_{i-1} z_i' - z_i z_{i-1}')/sqrt(4i^2-1))``.
     """
-    i1, i2 = spec.wiener_indices
-    h = spec.T_minus_t
-    if i1 == i2:
-        z0 = panel.component(i1, 0)[:, 0]
-        return 0.5 * h * (z0 * z0 - 1.0)
-    z1 = panel.component(i1, p)
-    z2 = panel.component(i2, p)
+    z1, z2 = (panel.component(i, p) for i in spec.wiener_indices)
     total = z1[:, 0] * z2[:, 0]
     if p >= 1:
         i = np.arange(1, p + 1)
         w = 1.0 / np.sqrt(4.0 * i * i - 1.0)
         total = total + ((z1[:, :-1] * z2[:, 1:] - z1[:, 1:] * z2[:, :-1]) * w).sum(axis=1)
-    return 0.5 * h * total
+    return 0.5 * spec.T_minus_t * total
 
 
 def sample_ito(spec: IntegralSpec, p: int, panel: GaussianPanel):
     """Truncated Gaussian-product approximation of the iterated Ito integral.
 
-    Returns a scalar for a single panel, an array of per-path values for a
-    batched panel.
+    An integral whose error vanishes at every cap is evaluated at cap 0,
+    whatever ``p``, and reads only the degree-0 Gaussians.  Returns a scalar
+    for a single panel, an array of per-path values for a batched panel.
     """
     check_cap(p)
-    if spec.profile == (0, 0):
+    if IndexPattern.from_indices(spec.wiener_indices).error_vanishes(spec.profile):
+        total = _bracket_terms(spec, 0, panel)
+    elif spec.profile == (0, 0):
         total = _sample_pair00(spec, p, panel)
     else:
         total = _bracket_terms(spec, p, panel)

@@ -24,6 +24,7 @@ from typing import Callable, Dict, Iterable, List, Tuple
 import numpy as np
 
 from .coefficients import check_step
+from .errors import IndexPattern
 from .planner import SCHEME_ORDER, TruncationPlan, scheme_plan, scheme_profiles, scheme_terms
 from .sampling import GaussianPanel, IntegralSpec, make_panel, sample_ito
 
@@ -92,29 +93,26 @@ class StepContext:
                constant: float = 1.0) -> "StepContext":
         """Draw one panel and evaluate every integral the scheme needs.
 
-        The panel covers the largest degree any integral actually touches:
-        the equal-component pair integral collapses to its degree-0 closed
-        form, so single-noise problems never pay for the pair cap.
+        ``sample_ito`` evaluates each integral whose error vanishes at cap 0;
+        the panel drops that integral's cap only for pairs, so single-noise
+        problems never pay for the pair cap but still draw the triple cap.
         """
         if plan is None:
             plan = scheme_plan(SCHEME_ORDER[scheme], h, constant)
-        combos = [
-            (weights, indices)
+        specs = [
+            IntegralSpec(weights, indices, h)
             for weights in scheme_profiles(scheme_terms(scheme))
             for indices in _index_tuples(m, len(weights))
         ]
 
-        def needed(weights, indices):
-            if weights == (0, 0) and indices[0] == indices[1]:
-                return 0
-            return plan.cap(weights)
+        def needed(spec):
+            # pairs only: k >= 3 would narrow the m = 1 panels and re-seed every GBM run
+            vanishes = IndexPattern.from_indices(spec.wiener_indices).error_vanishes(spec.profile)
+            return 0 if spec.k == 2 and vanishes else plan.cap(spec.profile)
 
-        p_max = max(needed(w, idx) for w, idx in combos)
-        panel = make_panel(rng, m, p_max, paths)
-        values: Dict[tuple, np.ndarray] = {}
-        for weights, indices in combos:
-            spec = IntegralSpec(weights, indices, h)
-            values[(weights, indices)] = sample_ito(spec, plan.cap(weights), panel)
+        panel = make_panel(rng, m, max(map(needed, specs)), paths)
+        values = {(tuple(spec.profile), spec.wiener_indices):
+                  sample_ito(spec, plan.cap(spec.profile), panel) for spec in specs}
         return cls(h, values, plan, panel)
 
 
@@ -233,7 +231,7 @@ def estimate_strong_order(problem: SdeProblem, scheme: str, steps, paths: int,
     The fine reference therefore does not measure strong error: on
     ``bilinear`` it measures the spread between two independent solutions
     (Milstein, 2000 paths, h = 2^-2..2^-4: errors 1.29 to 1.33, slope
-    -0.02).  A path-coupled reference is ROADMAP item 6.
+    -0.02).  A path-coupled reference is an open ROADMAP item.
     """
     steps = [float(h) for h in steps]
     if len(set(steps)) < 3:

@@ -180,3 +180,63 @@ class TestSubcommands:
                             "--seed", "4")
         assert code == 0
         assert "slope" in out.splitlines()[-1]
+
+
+# stdout of seeded scheme runs, recorded once; any change to a sampler, a
+# step or the panel width that moves a digit fails here
+_GBM = ("integrate", "--problem", "gbm", "--h", "0.125", "--T", "1", "--paths", "2000",
+        "--seed", "3")
+_BILINEAR = ("integrate", "--problem", "bilinear", "--h", "0.25", "--T", "1",
+             "--paths", "2000", "--seed", "3")
+_ORDER = ("order", "--scheme", "t15", "--problem", "gbm",
+          "--steps", "0.0625,0.03125,0.015625,0.0078125", "--paths", "2000", "--seed", "7")
+SEEDED_GOLDENS = [
+    ((*_GBM, "--scheme", "milstein"),
+     "> stochtaylor integrate scheme=milstein problem=gbm h=0.125 T=1.0 paths=2000 seed=3\n"
+     "final_mean 1.6116996\n"
+     "final_std 1.8865997\n"
+     "strong_error 0.089772804\n"),
+    ((*_GBM, "--scheme", "t15"),
+     "> stochtaylor integrate scheme=t15 problem=gbm h=0.125 T=1.0 paths=2000 seed=3\n"
+     "final_mean 1.689047\n"
+     "final_std 2.3496082\n"
+     "strong_error 0.018051078\n"),
+    ((*_GBM, "--scheme", "t20"),
+     "> stochtaylor integrate scheme=t20 problem=gbm h=0.125 T=1.0 paths=2000 seed=3\n"
+     "final_mean 1.6233824\n"
+     "final_std 2.1569956\n"
+     "strong_error 0.0027380888\n"),
+    ((*_GBM, "--scheme", "t25"),
+     "> stochtaylor integrate scheme=t25 problem=gbm h=0.125 T=1.0 paths=2000 seed=3\n"
+     "final_mean 1.6371651\n"
+     "final_std 2.2612317\n"
+     "strong_error 0.00048847827\n"),
+    ((*_BILINEAR, "--scheme", "milstein"),
+     "> stochtaylor integrate scheme=milstein problem=bilinear h=0.25 T=1.0 paths=2000 seed=3\n"
+     "final_mean 0.86954583 1.1974784\n"
+     "final_std 0.62832506 0.56569801\n"),
+    ((*_BILINEAR, "--scheme", "t15"),
+     "> stochtaylor integrate scheme=t15 problem=bilinear h=0.25 T=1.0 paths=2000 seed=3\n"
+     "final_mean 0.85832813 1.1801195\n"
+     "final_std 0.64919234 0.5774646\n"),
+    ((*_BILINEAR, "--scheme", "t25"),
+     "> stochtaylor integrate scheme=t25 problem=bilinear h=0.25 T=1.0 paths=2000 seed=3\n"
+     "final_mean 0.84193304 1.1717678\n"
+     "final_std 0.63745055 0.55018774\n"),
+    (_ORDER,
+     "> stochtaylor order scheme=t15 problem=gbm steps=0.0625,0.03125,0.015625,0.0078125"
+     " paths=2000 T=1.0 seed=7\n"
+     "h 0.0625 error 0.0068903157\n"
+     "h 0.03125 error 0.0026474027\n"
+     "h 0.015625 error 0.00093577523\n"
+     "h 0.0078125 error 0.00038482211\n"
+     "slope 1.3987 stderr 0.0285 ci [1.3417, 1.4558]\n"),
+]
+
+
+class TestSeededGoldens:
+    @pytest.mark.parametrize("argv,expected", SEEDED_GOLDENS,
+                             ids=["gbm-milstein", "gbm-t15", "gbm-t20", "gbm-t25", "bilinear-milstein",
+                                  "bilinear-t15", "bilinear-t25", "order-gbm-t15"])
+    def test_stdout_byte_identical(self, argv, expected):
+        assert run_cli(*argv) == (0, expected)

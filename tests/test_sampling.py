@@ -13,6 +13,7 @@ from typing import List
 
 import numpy as np
 import pytest
+from numpy.polynomial import hermite_e
 
 from stochtaylor import coefficients
 from stochtaylor.coefficients import WeightProfile, get_tensor, scaled_coefficient
@@ -297,9 +298,22 @@ class TestSampleIto:
     def test_insufficient_panel(self):
         panel = GaussianPanel(np.zeros((1, 3)))
         with pytest.raises(ValueError):
-            sample_ito(IntegralSpec((0, 0, 0), (1, 1, 1), 1.0), 5, panel)
+            sample_ito(IntegralSpec((0, 0, 1), (1, 1, 1), 1.0), 5, panel)
         with pytest.raises(ValueError):
             panel.component(2, 1)
+
+    @pytest.mark.parametrize("h", [0.7, 2.0**-7])
+    @pytest.mark.parametrize("p", range(7))
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_vanishing_error_is_hermite(self, k, p, h):
+        # Kloeden-Platen sec. 5.2: h^(k/2)/k! He_k(zeta_0) on any panel, any cap
+        spec = IntegralSpec((0,) * k, (2,) * k, h)
+        panel = make_panel(np.random.default_rng(100 * k + p), 2, p, paths=64)
+        z0 = panel.data[:, 1, 0]
+        expect = h ** (k / 2) / math.factorial(k) * hermite_e.hermeval(z0, [0] * k + [1])
+        for pan in (panel, GaussianPanel(panel.data[..., :1])):
+            got = sample_ito(spec, p, pan)
+            assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):

@@ -314,6 +314,15 @@ class TestCoupling:
         assert i0 == pytest.approx(math.sqrt(h) * z0, rel=1e-13)
         assert i00 == pytest.approx((i0**2 - h) / 2, rel=1e-12)
 
+    @pytest.mark.parametrize("problem,scheme,h,p_max", [
+        (gbm_problem(), "t15", 2.0**-7, 16),
+        (bilinear_problem(), "t25", 0.25, 32),
+    ])
+    def test_panel_width(self, problem, scheme, h, p_max):
+        # the width fixes the random stream: a change re-seeds every scheme run
+        ctx = StepContext.sample(scheme, problem.m, h, np.random.default_rng(0), paths=2)
+        assert ctx.panel.p_max == p_max
+
 
 class TestIntegrate:
     def test_single_step_equals_step(self):
