@@ -5,6 +5,8 @@ coefficient multiplies the Wick-type bracket ``prod zeta + sum over r of
 (-1)^r sum over pair partitions of indicator products times the remaining
 zetas``.  Pair indicators require equal Wiener components and equal basis
 degrees.  The Stratonovich variant keeps only the plain product term.
+One kernel evaluates, in path blocks, a lone call's index tuple or, in
+``stack_ito``, all m^k tuples of a profile, kept on the read-only panel.
 
 A discretization oracle evaluates the same integral as a left-point iterated
 Riemann sum over a fine Wiener path; drawing the expansion's Gaussians from
@@ -31,6 +33,7 @@ __all__ = [
     "PairPartition",
     "enumerate_pair_partitions",
     "sample_ito",
+    "stack_ito",
     "sample_stratonovich",
     "discretization_oracle",
     "zetas_from_increments",
@@ -112,14 +115,18 @@ class GaussianPanel:
     """The i.i.d. standard normals zeta_j^(i) feeding one approximation.
 
     ``data`` has shape (m, p_max + 1) for a single draw or
-    (paths, m, p_max + 1) for a batch.
+    (paths, m, p_max + 1) for a batch, read-only (a writable input is copied).
     """
 
     def __init__(self, data: np.ndarray):
         data = np.asarray(data, dtype=np.float64)
         if data.ndim not in (2, 3):
             raise ValueError("panel must be (m, p+1) or (paths, m, p+1)")
-        self.data = data
+        self._data = data.copy() if data.flags.writeable or not data.flags.owndata else data
+        self._data.flags.writeable = False  # so the values stack_ito keeps cannot go stale
+        self._stacks: dict = {}  # (profile, cap, step) -> stack_ito's values
+
+    data = property(lambda self: self._data)
 
     @property
     def batched(self) -> bool:
@@ -148,102 +155,145 @@ def make_panel(rng: np.random.Generator, m: int, p_max: int,
     """Draw a fresh panel; counter-based bit generators give reproducible
     independent streams under a documented seed."""
     shape = (m, p_max + 1) if paths is None else (paths, m, p_max + 1)
-    return GaussianPanel(rng.standard_normal(shape))
+    data = rng.standard_normal(shape)
+    data.flags.writeable = False  # the panel's own, so it is not copied
+    return GaussianPanel(data)
 
 
-def _bracket_terms(spec: IntegralSpec, p: int, panel: GaussianPanel) -> np.ndarray:
-    """Sum over the truncated box of coefficient times Wick bracket.
+# Elements of per-path work per Wick-sum or oracle block; Wick sums take >= _MIN_ROWS paths.
+_BLOCK_ELEMENTS = 2**15
+_MIN_ROWS = 128
 
-    Each pair partition joining equal components adds (-1)^r times the
-    coefficients summed over its pairs' diagonals, contracted with the
-    singletons' zetas; r = 0 is the plain product.
-    """
-    coeff = _coeff_array(spec, p)
-    idx = spec.wiener_indices
-    total = 0.0
-    for part in _all_partitions(spec.k):
-        if any(idx[a - 1] != idx[b - 1] for a, b in part.pairs):
-            continue
-        axes = list(range(spec.k))
+
+@functools.lru_cache(maxsize=1024)
+def _tuple_tables(comps: Tuple[Tuple[int, ...], ...]):
+    """The components used in ``comps``, their count in each index tuple (C order),
+    and per pair partition the tuples whose pairs agree and their singletons' index."""
+    pos = np.indices(tuple(map(len, comps))).reshape(len(comps), -1).T
+    val = np.stack([np.take(c, pos[:, q]) for q, c in enumerate(comps)], axis=1)
+    gathers = []
+    for part in _all_partitions(len(comps)):
+        agree = np.ones(len(pos), dtype=bool)
+        for a, b in part.pairs:
+            agree &= val[:, a - 1] == val[:, b - 1]
+        single = [q - 1 for q in part.singletons]  # if none, flat is 0: see _contract
+        flat = np.ravel_multi_index(pos[agree][:, single].T, [len(comps[q]) for q in single])
+        gathers.append((np.flatnonzero(agree), flat))
+    used = sorted(set().union(*comps))
+    return used, (val[:, :, np.newaxis] == used).sum(axis=1), tuple(gathers)
+
+
+@functools.lru_cache(maxsize=256)
+def _wick_terms(profile: WeightProfile, p: int, T_minus_t: float, ito: bool):
+    """(sign, coefficients summed over the pairs' diagonals, singletons) per
+    pair partition, r = 0 first; the Stratonovich sum keeps only r = 0."""
+    k, scale = profile.k, T_minus_t ** (profile.k / 2 + profile.total_weight)
+    coeff = get_tensor(profile, p).scaled_array()[(slice(0, p + 1),) * k] * scale
+    terms = []
+    for part in _all_partitions(k) if ito else _all_partitions(k)[:1]:
+        axes = list(range(k))
         for a, b in part.pairs:
             axes[b - 1] = axes[a - 1]
-        kept = [axes[q - 1] for q in part.singletons]
-        traced = np.einsum(coeff, axes, kept) if part.pairs else coeff
-        zs = [panel.component(idx[q - 1], p) for q in part.singletons]
-        total = total + (-1.0) ** part.r * _plain_product(traced, zs)
-    return total
+        traced = np.einsum(coeff, axes, [axes[q - 1] for q in part.singletons])
+        terms.append(((-1.0) ** part.r, np.array(traced, order="C"), part.singletons))
+    return tuple(terms)
 
 
-def _plain_product(coeff: np.ndarray, zs) -> np.ndarray:
-    """Per-path sum over the box of coefficient times the plain zeta product.
-
-    Axis q of ``coeff`` pairs with ``zs[q]`` (paths, p + 1).  The leading axis
-    is contracted one degree at a time, so no intermediate outgrows a vector
-    over paths; the last is a matrix-vector product.  No zetas: ``coeff``.
-    """
-    if len(zs) <= 1:
-        return zs[0] @ coeff if zs else coeff
-    return sum(zs[0][:, j] * _plain_product(coeff[j], zs[1:]) for j in range(len(coeff)))
-
-
-def _coeff_array(spec: IntegralSpec, p: int) -> np.ndarray:
-    arr = get_tensor(spec.profile, p).scaled_array()[(slice(0, p + 1),) * spec.k]
-    k, L = spec.profile.k, spec.profile.total_weight
-    return arr * spec.T_minus_t ** (k / 2 + L)
+def _contract(coeff: np.ndarray, zs) -> np.ndarray:
+    """Per path and component tuple, the box sum of ``coeff`` times the zetas
+    ``zs[q]`` (rows, m_q, p + 1): one GEMM, then a per-path matmul per axis."""
+    if not zs:
+        return coeff.reshape(1, 1)  # all paired: the same for every path
+    rows, m, n = zs[0].shape
+    x = (zs[0].reshape(-1, n) @ coeff.reshape(n, -1)).reshape(rows, m, -1)
+    for z in zs[1:]:
+        x = z[:, np.newaxis] @ x.reshape(rows, x.shape[1], n, -1)
+        x = x.reshape(rows, -1, x.shape[-1])
+    return x.reshape(rows, -1)
 
 
-def _sample_pair00(spec: IntegralSpec, p: int, panel: GaussianPanel):
-    """All-zero-weight pair integral over distinct components, closed form.
+def _wick_sums(profile: WeightProfile, p: int, T_minus_t: float, ito: bool,
+               panel: GaussianPanel, comps: Tuple[Tuple[int, ...], ...]) -> np.ndarray:
+    """Box sum of coefficient times Wick bracket for every index tuple of
+    ``comps`` (0-based components per axis), (tuples, paths) in C order: each
+    pair partition adds (-1)^r times its contraction where its pairs agree.  The Ito
+    sum is c0 prod_i He_{n_i}(zeta_0^(i)) at cap 0 (Kloeden and Platen 1992, 5.2) and,
+    for (0,0), ``(T-t)/2 (z0 z0' - I + sum_i (z_{i-1} z_i' - z_i z_{i-1}')/sqrt(4i^2-1))``."""
+    check_cap(p)
+    used, counts, gathers = _tuple_tables(comps)
+    panel.component(1 + used[-1], p)  # raises if the panel is too small
+    z = panel.data[..., : p + 1] if panel.batched else panel.data[np.newaxis, :, : p + 1]
+    k, n, pair00 = len(comps), p + 1, ito and p > 0 and profile == (0, 0)
+    terms = None if pair00 else _wick_terms(profile, p, T_minus_t, ito)
+    rows = max(_MIN_ROWS, _BLOCK_ELEMENTS // ((len(counts) + k + 1) * len(used) * n ** (k - 1)))
+    out = np.empty((len(counts), len(z)))
+    for a in range(0, len(z), rows):
+        if ito and p == 0:
+            x = z[a:a + rows, used, 0]
+            he = np.ones((k + 1,) + x.shape)
+            for j in range(k):  # He_{j+1} = x He_j - j He_{j-1}
+                he[j + 1] = x * he[j] - j * he[j - 1]
+            total = terms[0][1].item() * he[counts, :, np.arange(len(used))].prod(axis=1).T
+        elif pair00:
+            z0, z1 = (z[a:a + rows, list(c)] for c in comps)
+            w = 1.0 / np.sqrt(4.0 * np.arange(1, n) ** 2 - 1.0)
+            total = z0[..., :1] * z1[:, None, :, 0] - np.equal.outer(*comps)
+            total += np.einsum("rai,rbi,i->rab", z0[..., :-1], z1[..., 1:], w)
+            total -= np.einsum("rai,rbi,i->rab", z0[..., 1:], z1[..., :-1], w)
+            total *= 0.5 * T_minus_t
+        else:
+            zs = [z[a:a + rows, list(c)] for c in comps]
+            total = _contract(terms[0][1], zs)
+            for (sign, traced, singles), (tuples, flat) in zip(terms[1:], gathers[1:]):
+                total[:, tuples] += sign * _contract(traced, [zs[q - 1] for q in singles])[:, flat]
+        out[:, a:a + rows] = total.reshape(len(total), -1).T
+    return out
 
-    The coefficient matrix is tridiagonal, so the double sum collapses to
-    ``(T-t)/2 (z0 z0' + sum_i (z_{i-1} z_i' - z_i z_{i-1}')/sqrt(4i^2-1))``.
-    """
-    z1, z2 = (panel.component(i, p) for i in spec.wiener_indices)
-    total = z1[:, 0] * z2[:, 0]
-    if p >= 1:
-        i = np.arange(1, p + 1)
-        w = 1.0 / np.sqrt(4.0 * i * i - 1.0)
-        total = total + ((z1[:, :-1] * z2[:, 1:] - z1[:, 1:] * z2[:, :-1]) * w).sum(axis=1)
-    return 0.5 * spec.T_minus_t * total
+
+def _sample(spec: IntegralSpec, p: int, panel: GaussianPanel, ito: bool, stack=None):
+    at = tuple(i - 1 for i in spec.wiener_indices)
+    if stack is None:
+        stack, at = _wick_sums(spec.profile, p, spec.T_minus_t, ito, panel, tuple(zip(at))), 0
+    value = stack[at]
+    return value if panel.batched else float(value[0])
 
 
 def sample_ito(spec: IntegralSpec, p: int, panel: GaussianPanel):
     """Truncated Gaussian-product approximation of the iterated Ito integral.
 
     An integral whose error vanishes at every cap is evaluated at cap 0,
-    whatever ``p``, and reads only the degree-0 Gaussians.  Returns a scalar
-    for a single panel, an array of per-path values for a batched panel.
+    whatever ``p``.  Values ``stack_ito`` kept are read from the panel.  Returns a
+    scalar for a single panel, an array of per-path values for a batched panel.
     """
     check_cap(p)
     if IndexPattern.from_indices(spec.wiener_indices).error_vanishes(spec.profile):
-        total = _bracket_terms(spec, 0, panel)
-    elif spec.profile == (0, 0):
-        total = _sample_pair00(spec, p, panel)
-    else:
-        total = _bracket_terms(spec, p, panel)
-    return total if panel.batched else float(total[0])
+        p = 0
+    return _sample(spec, p, panel, True, panel._stacks.get((spec.profile, p, spec.T_minus_t)))
+
+
+def stack_ito(profile, p: int, T_minus_t: float, panel: GaussianPanel) -> None:
+    """Evaluate the Ito sums of all m^k index tuples at cap ``p`` at once and
+    keep the (m, ..., m, paths) values on the panel, where ``sample_ito`` reads
+    them at this cap and step (a zero-error integral it reads at cap 0)."""
+    spec = IntegralSpec(profile, (1,) * len(profile), T_minus_t)
+    w, h, k, m = spec.profile, spec.T_minus_t, spec.k, panel.m
+    stack = _wick_sums(w, p, h, True, panel, (tuple(range(m)),) * k).reshape((m,) * k + (-1,))
+    stack.flags.writeable = False
+    panel._stacks[(w, p, h)] = stack
 
 
 def sample_stratonovich(spec: IntegralSpec, p: int, panel: GaussianPanel):
-    """Plain product-sum approximation (no indicator corrections).
+    """Plain product-sum approximation: the r = 0 term of the Ito sum.
 
     For multiplicity 2 with equal components this differs from the Ito value
     by the truncated diagonal sum of coefficients.
     """
-    check_cap(p)
-    zs = [panel.component(i, p) for i in spec.wiener_indices]
-    total = _plain_product(_coeff_array(spec, p), zs)
-    return total if panel.batched else float(total[0])
+    return _sample(spec, p, panel, False)
 
 
 # ---------------------------------------------------------------------------
 # discretization oracle
 # ---------------------------------------------------------------------------
-
-
-# Paths per oracle block are this many grid elements over N, so each of the
-# oracle's two (rows, N) buffers stays cache-sized whatever the path count.
-_BLOCK_ELEMENTS = 2**15
 
 
 def _grid_array(increments) -> Tuple[np.ndarray, bool]:
@@ -319,6 +369,7 @@ def zetas_from_increments(increments: np.ndarray, p: int, T_minus_t: float) -> G
     s_left = np.arange(N) * dt
     phi = np.array([[eval_phi(j, s, 0.0, T_minus_t) for s in s_left] for j in range(p + 1)])
     data = np.einsum("jn,pin->pij", phi, arr)
+    data.flags.writeable = False
     return GaussianPanel(data if not single else data[0])
 
 

@@ -26,7 +26,7 @@ import numpy as np
 from .coefficients import check_step
 from .errors import IndexPattern
 from .planner import SCHEME_ORDER, TruncationPlan, scheme_plan, scheme_profiles, scheme_terms
-from .sampling import GaussianPanel, IntegralSpec, make_panel, sample_ito
+from .sampling import GaussianPanel, IntegralSpec, make_panel, sample_ito, stack_ito
 
 __all__ = [
     "SdeProblem",
@@ -93,27 +93,35 @@ class StepContext:
                constant: float = 1.0) -> "StepContext":
         """Draw one panel and evaluate every integral the scheme needs.
 
-        ``sample_ito`` evaluates each integral whose error vanishes at cap 0;
-        the panel drops that integral's cap only for pairs, so single-noise
-        problems never pay for the pair cap but still draw the triple cap.
+        ``plan`` must be for the scheme's order at step ``h``.  Each profile is
+        stacked over all index tuples (``stack_ito``) for ``sample_ito`` to read.
         """
+        order = SCHEME_ORDER[scheme]
         if plan is None:
-            plan = scheme_plan(SCHEME_ORDER[scheme], h, constant)
-        specs = [
-            IntegralSpec(weights, indices, h)
-            for weights in scheme_profiles(scheme_terms(scheme))
-            for indices in _index_tuples(m, len(weights))
-        ]
-
-        def needed(spec):
-            # pairs only: k >= 3 would narrow the m = 1 panels and re-seed every GBM run
-            vanishes = IndexPattern.from_indices(spec.wiener_indices).error_vanishes(spec.profile)
-            return 0 if spec.k == 2 and vanishes else plan.cap(spec.profile)
-
-        panel = make_panel(rng, m, max(map(needed, specs)), paths)
-        values = {(tuple(spec.profile), spec.wiener_indices):
-                  sample_ito(spec, plan.cap(spec.profile), panel) for spec in specs}
+            plan = scheme_plan(order, h, constant)
+        elif plan.order != order or not math.isclose(plan.T_minus_t, h, rel_tol=1e-12):
+            raise ValueError(f"scheme {scheme!r} has order {order} at h = {h}, but the plan "
+                             f"is for order {plan.order} at step {plan.T_minus_t}")
+        specs, stacks, p_max = _step_specs(scheme, m, h, tuple(plan.items()))
+        panel = make_panel(rng, m, p_max, paths)
+        for profile, cap in stacks:
+            stack_ito(profile, cap, h, panel)
+        values = {(tuple(s.profile), s.wiener_indices): sample_ito(s, c, panel) for s, c in specs}
         return cls(h, values, plan, panel)
+
+
+@lru_cache(maxsize=64)
+def _step_specs(scheme: str, m: int, h: float, caps: tuple):
+    """(spec, cap) per integral of a step, (profile, cap) to stack where an error does not
+    vanish, and the panel width, which drops only a pair's vanishing cap (or GBM re-seeds)."""
+    caps = dict(caps)
+    specs = tuple((IntegralSpec(weights, indices, h), caps[weights])
+                  for weights in scheme_profiles(scheme_terms(scheme))
+                  for indices in _index_tuples(m, len(weights)))
+    vanish = [IndexPattern.from_indices(s.wiener_indices).error_vanishes(s.profile)
+              for s, _ in specs]
+    stacks = tuple(dict.fromkeys((s.profile, cap) for (s, cap), v in zip(specs, vanish) if not v))
+    return specs, stacks, max(0 if s.k == 2 and v else cap for (s, cap), v in zip(specs, vanish))
 
 
 def _index_tuples(m: int, k: int) -> Iterable[Tuple[int, ...]]:

@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 from numpy.polynomial import hermite_e
 
-from stochtaylor import coefficients
+from stochtaylor import coefficients, sampling
 from stochtaylor.coefficients import WeightProfile, get_tensor, scaled_coefficient
 from stochtaylor.errors import IndexPattern, exact_error
+from stochtaylor.planner import TruncationPlan, scheme_plan
 from stochtaylor.sampling import (
     GaussianPanel,
     IntegralSpec,
@@ -27,9 +28,11 @@ from stochtaylor.sampling import (
     make_panel,
     sample_ito,
     sample_stratonovich,
+    stack_ito,
     wiener_increments,
     zetas_from_increments,
 )
+from stochtaylor.schemes import StepContext
 
 
 def _d(i, j):
@@ -395,6 +398,127 @@ class TestContractionOracle:
                     tol = 1e-12 * max(1.0, np.abs(old).max())
                     assert np.abs(got - old).max() <= tol, (new.__name__, indices)
 
+    @pytest.mark.parametrize("profile", [
+        (0,), (1,), (0, 1), (1, 0), (2, 1), (0, 0, 0), (0, 0, 1), (0, 1, 0),
+        (1, 0, 0), (0,) * 4, (0, 0, 0, 1), (0,) * 5,
+    ])
+    def test_cap_zero_matches_einsum(self, profile):
+        # cap 0 is evaluated as a product of Hermite polynomials
+        k = len(profile)
+        batched = make_panel(np.random.default_rng(sum(profile) + 10 * k), 3, 0, paths=64)
+        for indices in (product((1, 2, 3), repeat=k) if k <= 3 else _equality_patterns(k, 3)):
+            spec = IntegralSpec(profile, indices, 0.7)
+            coeff = _coeff_array(spec, 0)
+            for panel in (batched, GaussianPanel(batched.data[1])):
+                old = _bracket_terms(spec, 0, panel, coeff)
+                got = np.atleast_1d(sample_ito(spec, 0, panel))
+                assert np.abs(got - old).max() <= 1e-12 * max(1.0, np.abs(old).max()), indices
+
+    @pytest.mark.parametrize("paths", [None, 64])
+    def test_step_integrals_match_einsum(self, paths):
+        # every integral of a t25 step on m = 3 noise, at the plan's cap
+        h = 0.25
+        plan = scheme_plan(2.5, h)
+        ctx = StepContext.sample("t25", 3, h, np.random.default_rng(12), plan, paths=paths)
+        assert len(ctx.values) == 3 * 3 + 3 * 9 + 4 * 27 + 81 + 243
+        for (weights, indices), got in ctx.values.items():
+            spec = IntegralSpec(weights, indices, h)
+            p = plan.cap(weights)
+            old = _bracket_terms(spec, p, ctx.panel, _coeff_array(spec, p))
+            got = np.atleast_1d(got)
+            assert got.shape == old.shape
+            assert np.abs(got - old).max() <= 1e-12 * np.abs(old).max(), (weights, indices)
+
+
+class TestWickBlocks:
+    """The Wick sums stream path blocks; the block size changes no value."""
+
+    PROFILES = [(0,), (1,), (0, 0), (0, 1), (1, 0), (2, 1), (0, 0, 0), (0, 0, 1), (0, 1, 0),
+                (1, 0, 0), (0,) * 4, (0, 0, 0, 1), (0,) * 5]
+    CAPS = {1: 6, 2: 5, 3: 4, 4: 3, 5: 2}
+
+    def _values(self, data, profile, p):
+        # lone calls, then the same tuples read from a stacked panel
+        panel, stacked = GaussianPanel(data), GaussianPanel(data)
+        stack_ito(profile, p, 0.7, stacked)
+        out = []
+        for indices in product((1, 2, 3), repeat=len(profile)):
+            spec = IntegralSpec(profile, indices, 0.7)
+            out.append(sample_ito(spec, p, panel))
+            out.append(sample_stratonovich(spec, p, panel))
+            out.append(sample_ito(spec, p, stacked))
+        return np.array(out)
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_stack_matches_lone_calls(self, profile):
+        # every tuple, zero-error ones included, as a lone call gives it
+        k = len(profile)
+        data = make_panel(np.random.default_rng(40 + k), 3, self.CAPS[k], paths=37).data
+        for p in (0, self.CAPS[k]):
+            got = self._values(data, profile, p).reshape(-1, 3, 37)
+            scale = np.abs(got[:, 0]).max()
+            assert np.abs(got[:, 2] - got[:, 0]).max() <= 1e-13 * scale, p
+
+    def test_pair_cap_above_tensor_ceiling(self):
+        # the (0,0) pair is summed in closed form, so a cap above the degree
+        # ceiling of the coefficient tensors (t25 plans 512 at h = 0.125) samples
+        h, p = 0.25, 300
+        base = scheme_plan(2.5, h)
+        plan = TruncationPlan(2.5, h, base.constant, {**dict(base.items()), (0, 0): p})
+        ctx = StepContext.sample("t25", 2, h, np.random.default_rng(4), plan, paths=16)
+        z = ctx.panel.data
+        w = 1.0 / np.sqrt(4.0 * np.arange(1, p + 1) ** 2 - 1.0)
+        for a, b in product((0, 1), repeat=2):
+            za, zb = z[:, a, : p + 1], z[:, b, : p + 1]
+            cross = ((za[:, :-1] * zb[:, 1:] - za[:, 1:] * zb[:, :-1]) * w).sum(axis=1)
+            expect = 0.5 * h * (za[:, 0] * zb[:, 0] - (a == b) + cross)
+            lone = sample_ito(IntegralSpec((0, 0), (a + 1, b + 1), h), p, GaussianPanel(z))
+            for got in (ctx.integral((0, 0), (a + 1, b + 1)), lone):
+                assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max(), (a, b)
+
+    def test_lone_call_on_wide_panel_is_path_sized(self):
+        # the mse command draws m = max(indices) components; one call must not
+        # evaluate the other m^k - 1 tuples (8^4 x 2000 doubles would be 65 MB)
+        spec = IntegralSpec((0, 0, 0, 0), (1, 3, 5, 8), 0.5)
+        sample_ito(spec, 2, make_panel(np.random.default_rng(1), 8, 2, paths=2000))  # warm caches
+        panel = make_panel(np.random.default_rng(2), 8, 2, paths=2000)
+        tracemalloc.start()
+        try:
+            value = sample_ito(spec, 2, panel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert value.shape == (2000,)
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("min_rows,elements", [(1, 0), (7, 0), (1, 2**40)],
+                             ids=["1-row", "7-rows", "all-paths"])
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_block_size_changes_no_value(self, profile, min_rows, elements, monkeypatch):
+        k = len(profile)
+        data = make_panel(np.random.default_rng(30 + k), 3, self.CAPS[k], paths=37).data
+        for p in (0, self.CAPS[k]):
+            expect = self._values(data, profile, p)
+            with monkeypatch.context() as patch:
+                patch.setattr(sampling, "_MIN_ROWS", min_rows)
+                patch.setattr(sampling, "_BLOCK_ELEMENTS", elements)
+                got = self._values(data, profile, p)
+            assert np.abs(got - expect).max() <= 1e-13 * np.abs(expect).max(), p
+
+    def test_step_peak_is_block_sized(self):
+        # a t25 step at 20 000 paths keeps ~27 MB; evaluating it may exceed
+        # that by a few blocks, not by a multiple of the path count
+        plan = scheme_plan(2.5, 0.25)
+        StepContext.sample("t25", 2, 0.25, np.random.default_rng(0), plan, paths=64)  # warm caches
+        tracemalloc.start()
+        try:
+            ctx = StepContext.sample("t25", 2, 0.25, np.random.default_rng(1), plan, paths=20_000)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ctx.panel.data.shape == (20_000, 2, 33)
+        assert peak - current < 2 * 2**20
+
 
 class TestNegativeCap:
     # a warm tensor cache must not turn a negative cap into a silent zero
@@ -599,3 +723,19 @@ class TestPanel:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             GaussianPanel(np.zeros(4))
+
+    def test_data_is_read_only(self):
+        # a stacked panel's values must not go stale under a changed panel
+        drawn = np.random.default_rng(5).standard_normal((6, 2, 3))
+        panel = GaussianPanel(drawn)
+        stack_ito((0, 1), 2, 0.5, panel)
+        spec = IntegralSpec((0, 1), (1, 2), 0.5)
+        before = sample_ito(spec, 2, panel).copy()
+        drawn[...] = 0.0  # the caller's array was copied
+        with pytest.raises(ValueError):
+            panel.data[0, 0, 0] = 1.0
+        with pytest.raises(AttributeError):
+            panel.data = np.zeros((6, 2, 3))
+        assert np.array_equal(sample_ito(spec, 2, panel), before)
+        assert np.allclose(sample_ito(spec, 2, GaussianPanel(panel.data)), before,
+                           rtol=1e-13, atol=0)

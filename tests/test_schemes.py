@@ -324,6 +324,24 @@ class TestCoupling:
         assert ctx.panel.p_max == p_max
 
 
+class TestPlanFit:
+    def test_lower_order_plan_rejected(self):
+        with pytest.raises(ValueError, match=r"order 2.5 at h = 0.25.*order 1.0 at step 0.5"):
+            integrate_batch(gbm_problem(), "t25", [1.0], 1.0, 4, 3, 0, plan=scheme_plan(1.0, 0.5))
+
+    def test_other_step_plan_rejected(self):
+        with pytest.raises(ValueError, match=r"order 2.5 at h = 0.25.*order 2.5 at step 0.5"):
+            integrate_batch(gbm_problem(), "t25", [1.0], 1.0, 4, 3, 0, plan=scheme_plan(2.5, 0.5))
+
+    def test_rounded_step_accepted(self):
+        # T / n_steps rounds: 0.3 / 3 is not 0.1
+        h = 0.3 / 3
+        assert h != 0.1
+        xT, _ = integrate_batch(gbm_problem(), "milstein", [1.0], 0.3, 3, 2, 0,
+                                plan=scheme_plan(1.0, 0.1))
+        assert xT.shape == (2, 1)
+
+
 class TestIntegrate:
     def test_single_step_equals_step(self):
         prob = gbm_problem()
