@@ -36,7 +36,7 @@ for profile in [(0,), (0, 0), (0, 0, 0), (0, 0, 0, 0)]:
 # Exact squared L2 norms of the kernels (the total variance budget):
 print("\nexact kernel norms, I_k = value * (T-t)^(k + 2L):")
 for profile in [(0, 0), (0, 1), (1, 0), (0, 0, 0), (0, 0, 0, 0), (0,) * 5]:
-    print(f"  profile {profile}: {exact_norm(profile).value}")
+    print(f"  profile {profile}: {exact_norm(profile)}")
 
 # Parseval convergence is exactly telescoping for the all-zero-weight pair:
 # I_2 - sum of squared coefficients = 1/(4(2p+1)), in exact rationals.

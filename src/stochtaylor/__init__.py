@@ -6,7 +6,6 @@ formulas, minimal-cap planning, and strong Taylor SDE schemes of orders
 
 from .coefficients import (
     CoeffTensor,
-    ExactNorm,
     WeightProfile,
     bar_coefficient,
     build_tensor,
@@ -50,7 +49,6 @@ __all__ = [
     "CoeffTensor",
     "Condition",
     "ErrorResult",
-    "ExactNorm",
     "GaussianPanel",
     "IndexPattern",
     "IntegralSpec",

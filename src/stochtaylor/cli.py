@@ -16,8 +16,6 @@ import numpy as np
 
 from . import coefficients, errors, planner, sampling, schemes
 
-_FORMATS = ("md", "csv", "jsonl")
-
 # a plan is named by its order or by the fullest scheme of that order
 _PLAN_ORDERS = {**{str(o): o for o in planner.SCHEME_ORDERS},
                 **{s: o for s, o in planner.SCHEME_ORDER.items() if s != "euler"}}
@@ -192,16 +190,13 @@ def _build_parser() -> argparse.ArgumentParser:
                                              "Taylor SDE schemes")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_format(p):
-        p.add_argument("--format", choices=_FORMATS, default="md")
-
     p = sub.add_parser("error", help="exact mean-square truncation error")
     p.add_argument("--weights", required=True)
     p.add_argument("--pattern", default="distinct",
                    help="'distinct', 'equal', blocks '12|3', or indices '1,1,2'")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--step", type=float, required=True)
-    add_format(p)
+    p.add_argument("--format", choices=("md", "jsonl"), default="md")
     p.set_defaults(fn=_cmd_error)
 
     p = sub.add_parser("truncate", help="minimal cap meeting the mean-square condition")

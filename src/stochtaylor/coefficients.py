@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from typing import Dict, Iterator, Tuple
@@ -30,7 +29,6 @@ from .legendre import shifted_legendre
 __all__ = [
     "WeightProfile",
     "CoeffTensor",
-    "ExactNorm",
     "bar_coefficient",
     "scaled_coefficient",
     "check_step",
@@ -44,7 +42,7 @@ __all__ = [
 ]
 
 MAX_MULTIPLICITY = 6
-DEFAULT_ENTRY_CEILING = 10**8
+ENTRY_CEILING = 10**8
 
 
 class WeightProfile(tuple):
@@ -65,6 +63,11 @@ class WeightProfile(tuple):
     @property
     def total_weight(self) -> int:
         return sum(self)
+
+    @property
+    def norm_exponent(self) -> int:
+        """Power of ``T - t`` in the kernel's squared norm, ``k + 2 sum l``."""
+        return self.k + 2 * self.total_weight
 
     def label(self) -> str:
         return "".join(str(l) for l in self)
@@ -186,7 +189,7 @@ def scaled_coefficient(profile, j, T_minus_t: float) -> float:
     for jm in j:
         scale *= math.sqrt(2 * jm + 1)
     k, L = profile.k, profile.total_weight
-    return scale * T_minus_t ** (k / 2 + L) * 2.0 ** -(k + L) * float(bar)
+    return scale * T_minus_t ** (profile.norm_exponent / 2) * 2.0 ** -(k + L) * float(bar)
 
 
 def _normalized_rational_sq(profile: WeightProfile, j, bar) -> Fraction:
@@ -198,43 +201,19 @@ def _normalized_rational_sq(profile: WeightProfile, j, bar) -> Fraction:
     return Fraction(prod, 4 ** (k + L)) * bar * bar
 
 
-@dataclass(frozen=True)
-class ExactNorm:
-    """Exact L2 norm prefactor: ``I_k = value * (T-t)^(k + 2 sum l)``."""
-
-    profile: WeightProfile
-    value: Fraction
-
-    @property
-    def exponent(self) -> int:
-        return self.profile.k + 2 * self.profile.total_weight
-
-    def at(self, T_minus_t: float) -> float:
-        return float(self.value) * T_minus_t ** self.exponent
-
-
-_norm_cache: Dict[WeightProfile, ExactNorm] = {}
-
-
-def exact_norm(profile) -> ExactNorm:
-    """Exact squared L2 norm of the iterated-integral kernel.
+def exact_norm(profile) -> Fraction:
+    """Exact squared L2 norm of the iterated-integral kernel at T - t = 1;
+    ``I_k = exact_norm(profile) * (T-t)^profile.norm_exponent``.
 
     At T - t = 1 the kernel is ``prod_m (-u_m)^(l_m)`` on the ordered
     simplex of [0, 1]^k (u_m the offset from t), so the iterated integral of
     its square is ``1 / prod_m s_m`` with ``s_m = sum_{i <= m} (2 l_i + 1)``.
     """
-    profile = _profile(profile)
-    norm = _norm_cache.get(profile)
-    if norm is not None:
-        return norm
     den, s = 1, 0
-    for l in profile:
+    for l in _profile(profile):
         s += 2 * l + 1
         den *= s
-    value = Fraction(1, den)
-    norm = ExactNorm(profile, value)
-    _norm_cache[profile] = norm
-    return norm
+    return Fraction(1, den)
 
 
 # ---------------------------------------------------------------------------
@@ -308,23 +287,21 @@ _tensor_cache: Dict[WeightProfile, CoeffTensor] = {}
 _tensor_lock = threading.Lock()
 
 
-def build_tensor(profile, p: int, entry_ceiling: int = DEFAULT_ENTRY_CEILING) -> CoeffTensor:
+def build_tensor(profile, p: int) -> CoeffTensor:
     """Compute every reduced coefficient over the box {0..p}^k.
 
     Deterministic.  The cached tensor of the profile, when its cap is at most
     ``p``, is extended over the new shells max(j) = q only: its exact values,
     float entries and level sums are copied, and each new entry is computed
-    once.  Raises ``ValueError`` when the box would exceed ``entry_ceiling``
+    once.  Raises ``ValueError`` when the box would exceed ``ENTRY_CEILING``
     entries.
     """
     profile = _profile(profile)
     check_cap(p)
     k, L = profile.k, profile.total_weight
     n_entries = (p + 1) ** k
-    if n_entries > entry_ceiling:
-        raise ValueError(
-            f"box {(p + 1)}^{k} = {n_entries} entries exceeds ceiling {entry_ceiling}"
-        )
+    if n_entries > ENTRY_CEILING:
+        raise ValueError(f"box {(p + 1)}^{k} = {n_entries} entries exceeds ceiling {ENTRY_CEILING}")
     values, sq_sums, exact_sums = {}, [], []
     scaled = np.empty((p + 1,) * k, dtype=np.float64)
     with _tensor_lock:
@@ -352,19 +329,19 @@ def squared_sum(profile, p: int, T_minus_t: float = 1.0) -> float:
     """Parseval sum of squared scaled coefficients over {0..p}^k."""
     profile = _profile(profile)
     t = get_tensor(profile, p)
-    exponent = profile.k + 2 * profile.total_weight
-    return float(t.squared_sum_exact(p)) * T_minus_t**exponent
+    return float(t.squared_sum_exact(p)) * T_minus_t**profile.norm_exponent
 
 
 def parseval_defect(profile, p: int):
     """Exact rational defect ``I_k - sum C^2`` at T - t = 1."""
     profile = _profile(profile)
     t = get_tensor(profile, p)
-    return exact_norm(profile).value - t.squared_sum_exact(p)
+    return exact_norm(profile) - t.squared_sum_exact(p)
 
 
 def get_tensor(profile, p: int) -> CoeffTensor:
     """Shared tensor cache: returns a tensor with cap >= p for ``profile``."""
+    check_cap(p)  # a cached tensor would read p = -1 as its top level
     profile = _profile(profile)
     with _tensor_lock:
         cached = _tensor_cache.get(profile)
@@ -381,12 +358,11 @@ def get_tensor(profile, p: int) -> CoeffTensor:
 
 
 def clear_caches() -> None:
-    """Drop all memoized prefix polynomials, tensors, norms and errors."""
+    """Drop all memoized prefix polynomials, tensors and errors."""
     from .errors import _norm_err_cache  # errors imports this module
 
     with _cache_lock:
         _prefix_cache.clear()
     with _tensor_lock:
         _tensor_cache.clear()
-    _norm_cache.clear()
     _norm_err_cache.clear()

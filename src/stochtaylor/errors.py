@@ -146,8 +146,7 @@ class ErrorResult:
     @property
     def normalized(self) -> float:
         """Error divided by (T-t)^(k + 2 sum l), the tables' normalization."""
-        e = self.profile.k + 2 * self.profile.total_weight
-        return self.value / self.T_minus_t**e
+        return self.value / self.T_minus_t**self.profile.norm_exponent
 
 
 _norm_err_cache: dict[tuple, float] = {}
@@ -169,7 +168,7 @@ def normalized_error(profile, pattern: IndexPattern, p: int) -> float:
     total = 0.0
     for axes in pattern.axis_permutations():
         total += accurate_sum(arr * np.transpose(arr, axes))
-    raw = float(exact_norm(profile).value) - total
+    raw = float(exact_norm(profile)) - total
     if raw < -1e-9:
         raise ArithmeticError(
             f"negative truncation error {raw} for {profile} {pattern}; coefficient bug"
@@ -189,8 +188,7 @@ def exact_error(profile, pattern: IndexPattern, p: int, T_minus_t: float) -> Err
     check_cap(p)
     check_step(T_minus_t)
     norm = normalized_error(profile, pattern, p)
-    e = profile.k + 2 * profile.total_weight
-    return ErrorResult(norm * T_minus_t**e, profile, pattern, p, T_minus_t)
+    return ErrorResult(norm * T_minus_t**profile.norm_exponent, profile, pattern, p, T_minus_t)
 
 
 def error_bound_kfact(profile, p: int, T_minus_t: float) -> float:
@@ -200,7 +198,5 @@ def error_bound_kfact(profile, p: int, T_minus_t: float) -> float:
     """
     profile = WeightProfile(profile)
     check_step(T_minus_t)
-    tensor = get_tensor(profile, p)
-    defect = float(exact_norm(profile).value) - tensor.squared_sum_float(p)
-    e = profile.k + 2 * profile.total_weight
-    return math.factorial(profile.k) * defect * T_minus_t**e
+    defect = float(exact_norm(profile)) - get_tensor(profile, p).squared_sum_float(p)
+    return math.factorial(profile.k) * defect * T_minus_t**profile.norm_exponent

@@ -15,8 +15,8 @@ from fnmatch import fnmatchcase
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Tuple
 
-from .coefficients import WeightProfile, check_step, exact_norm, get_tensor
-from .errors import IndexPattern, normalized_error
+from .coefficients import WeightProfile, check_step
+from .errors import IndexPattern, error_bound_kfact, normalized_error
 from .legendre import MAX_DEGREE
 
 __all__ = [
@@ -63,9 +63,13 @@ class Condition:
     def threshold(self, T_minus_t: float) -> float:
         return self.constant * T_minus_t**self.exponent
 
+    def admits(self, value, threshold) -> bool:
+        """``value < threshold`` if strict, else ``value <= threshold``: the one
+        test every cap search makes."""
+        return value < threshold if self.strict else value <= threshold
+
     def holds(self, error: float, T_minus_t: float) -> bool:
-        thr = self.threshold(T_minus_t)
-        return error < thr if self.strict else error <= thr
+        return self.admits(error, self.threshold(T_minus_t))
 
 
 class PlannerCapError(RuntimeError):
@@ -79,8 +83,7 @@ def _minimal_order_pair_closed_form(condition: Condition, T_minus_t: float) -> i
 
     def ok(p):
         # Parseval defect of the all-zero-weight pair integral: telescoped sum
-        d = Fraction(1, 4 * (2 * p + 1))
-        return d < thr if condition.strict else d <= thr
+        return condition.admits(Fraction(1, 4 * (2 * p + 1)), thr)
 
     # defect(p) = 1/(4(2p+1)) <= thr  <=>  2p+1 >= 1/(4 thr); jump close,
     # then settle the boundary with exact rational comparisons
@@ -116,34 +119,24 @@ def minimal_order(profile, pattern: IndexPattern, condition: Condition,
     check_step(T_minus_t)
     if profile == (0, 0) and pattern.is_distinct:
         return _minimal_order_pair_closed_form(condition, T_minus_t)
-    exponent = profile.k + 2 * profile.total_weight
-    norm_threshold = condition.threshold(T_minus_t) / T_minus_t**exponent
+    norm_threshold = condition.threshold(T_minus_t) / T_minus_t**profile.norm_exponent
 
     def ok(p):
-        err = normalized_error(profile, pattern, p)
-        return err < norm_threshold if condition.strict else err <= norm_threshold
+        return condition.admits(normalized_error(profile, pattern, p), norm_threshold)
 
     return _ascend(profile, search_cap, ok,
                    f"E <= {condition.constant}*(T-t)^{condition.exponent} "
                    f"for profile {profile}, step {T_minus_t}")
 
 
-def minimal_order_kfact(profile, condition: Condition, T_minus_t: float,
-                        search_cap: int | None = None) -> int:
+def minimal_order_kfact(profile, condition: Condition, T_minus_t: float) -> int:
     """Smallest cap under the factorial bound ``k!(I_k - sum C^2) <= thr``."""
     profile = WeightProfile(profile)
-    check_step(T_minus_t)
-    thr = condition.threshold(T_minus_t)
-    kfact = math.factorial(profile.k)
-    exponent = profile.k + 2 * profile.total_weight
-    norm = float(exact_norm(profile).value)
 
     def ok(p):
-        defect = norm - get_tensor(profile, p).squared_sum_float(p)
-        bound = kfact * defect * T_minus_t**exponent
-        return bound < thr if condition.strict else bound <= thr
+        return condition.holds(error_bound_kfact(profile, p, T_minus_t), T_minus_t)
 
-    return _ascend(profile, search_cap, ok, f"the factorial bound for {profile}, step {T_minus_t}")
+    return _ascend(profile, None, ok, f"the factorial bound for {profile}, step {T_minus_t}")
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +314,12 @@ def check_hypothesis(profile, condition: Condition, T_minus_t: float) -> Hypothe
         raise ValueError(f"no published cases for profile {tuple(profile)}; "
                          f"multiplicity {k} supports {listed}")
     distinct_q = minimal_order(profile, IndexPattern.distinct(k), condition, T_minus_t)
-    exponent = k + 2 * profile.total_weight
     results = []
     for label, _, pattern in _published_cases(k, letter, profile):
         if pattern.is_distinct:
             continue
         q = minimal_order(profile, pattern, condition, T_minus_t)
-        err = normalized_error(profile, pattern, distinct_q) * T_minus_t**exponent
+        err = normalized_error(profile, pattern, distinct_q) * T_minus_t**profile.norm_exponent
         exceeds = not condition.holds(err, T_minus_t)
         results.append(CaseResult(label, pattern, q, err, exceeds))
     return HypothesisReport(profile, condition, T_minus_t, distinct_q, tuple(results))
@@ -404,8 +396,7 @@ class TruncationPlan:
         return self.orders.items()
 
 
-def scheme_plan(order: float, T_minus_t: float, constant: float = 1.0,
-                strict: bool = False, search_cap: int | None = None) -> TruncationPlan:
+def scheme_plan(order: float, T_minus_t: float, constant: float = 1.0) -> TruncationPlan:
     """Minimal truncation caps for one strong scheme at step ``T_minus_t``.
 
     Every multiplicity >= 2 integral is planned with the pairwise-distinct
@@ -413,14 +404,13 @@ def scheme_plan(order: float, T_minus_t: float, constant: float = 1.0,
     """
     if order not in SCHEME_ORDERS:
         raise ValueError(f"order must be one of {SCHEME_ORDERS}, got {order}")
-    condition = Condition(int(2 * order + 1), constant, strict)
+    condition = Condition(int(2 * order + 1), constant)
     terms = [row for row in SCHEME_TERMS if SCHEME_ORDER[row[0]] <= order]
     orders: Dict[tuple, int] = {}
     for profile in scheme_profiles(terms):
         k = len(profile)
         orders[profile] = (profile[0] if k == 1 else
-                           minimal_order(profile, IndexPattern.distinct(k), condition,
-                                         T_minus_t, search_cap))
+                           minimal_order(profile, IndexPattern.distinct(k), condition, T_minus_t))
     return TruncationPlan(order, T_minus_t, constant, orders)
 
 
@@ -606,7 +596,7 @@ def reproduce_table(table_id: int) -> Table:
                 row_labels += [f"q({label})", "E"]
                 rows += [list(qs), [normalized_error(pr, pat, q)
                                     for (pr, pat), q in zip(cases, qs)]]
-            notes.append(f"E normalized by (T-t)^{k + 2 * profile.total_weight}")
+            notes.append(f"E normalized by (T-t)^{profile.norm_exponent}")
         else:
             pks = [minimal_order_kfact(profile, cond, h) for h in spec.steps]
             row_labels = ["p", f"(p+1)^{k}", "p'", f"(p'+1)^{k}"]

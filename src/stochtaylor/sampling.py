@@ -187,7 +187,7 @@ def _tuple_tables(comps: Tuple[Tuple[int, ...], ...]):
 def _wick_terms(profile: WeightProfile, p: int, T_minus_t: float, ito: bool):
     """(sign, coefficients summed over the pairs' diagonals, singletons) per
     pair partition, r = 0 first; the Stratonovich sum keeps only r = 0."""
-    k, scale = profile.k, T_minus_t ** (profile.k / 2 + profile.total_weight)
+    k, scale = profile.k, T_minus_t ** (profile.norm_exponent / 2)
     coeff = get_tensor(profile, p).scaled_array()[(slice(0, p + 1),) * k] * scale
     terms = []
     for part in _all_partitions(k) if ito else _all_partitions(k)[:1]:
@@ -225,9 +225,12 @@ def _wick_sums(profile: WeightProfile, p: int, T_minus_t: float, ito: bool,
     z = panel.data[..., : p + 1] if panel.batched else panel.data[np.newaxis, :, : p + 1]
     k, n, pair00 = len(comps), p + 1, ito and p > 0 and profile == (0, 0)
     terms = None if pair00 else _wick_terms(profile, p, T_minus_t, ito)
-    rows = max(_MIN_ROWS, _BLOCK_ELEMENTS // ((len(counts) + k + 1) * len(used) * n ** (k - 1)))
+    # per path, tuples + k + 1 arrays as wide as the first contraction's output
+    rows = max(_MIN_ROWS, _BLOCK_ELEMENTS // ((len(counts) + k + 1) * len(comps[0]) * n ** (k - 1)))
     out = np.empty((len(counts), len(z)))
     for a in range(0, len(z), rows):
+        # the Hermite form is kept for speed alone: the general contraction gives the same
+        # values to rounding but makes a bilinear t25 run about 1.6 times as slow
         if ito and p == 0:
             x = z[a:a + rows, used, 0]
             he = np.ones((k + 1,) + x.shape)
@@ -245,7 +248,9 @@ def _wick_sums(profile: WeightProfile, p: int, T_minus_t: float, ito: bool,
             zs = [z[a:a + rows, list(c)] for c in comps]
             total = _contract(terms[0][1], zs)
             for (sign, traced, singles), (tuples, flat) in zip(terms[1:], gathers[1:]):
-                total[:, tuples] += sign * _contract(traced, [zs[q - 1] for q in singles])[:, flat]
+                if len(tuples):  # else no tuple's paired components agree
+                    x = _contract(traced, [zs[q - 1] for q in singles])
+                    total[:, tuples] += sign * x[:, flat]
         out[:, a:a + rows] = total.reshape(len(total), -1).T
     return out
 

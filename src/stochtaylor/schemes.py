@@ -89,8 +89,7 @@ class StepContext:
 
     @classmethod
     def sample(cls, scheme: str, m: int, h: float, rng: np.random.Generator,
-               plan: TruncationPlan | None = None, paths: int | None = None,
-               constant: float = 1.0) -> "StepContext":
+               plan: TruncationPlan | None = None, paths: int | None = None) -> "StepContext":
         """Draw one panel and evaluate every integral the scheme needs.
 
         ``plan`` must be for the scheme's order at step ``h``.  Each profile is
@@ -98,7 +97,7 @@ class StepContext:
         """
         order = SCHEME_ORDER[scheme]
         if plan is None:
-            plan = scheme_plan(order, h, constant)
+            plan = scheme_plan(order, h)
         elif plan.order != order or not math.isclose(plan.T_minus_t, h, rel_tol=1e-12):
             raise ValueError(f"scheme {scheme!r} has order {order} at h = {h}, but the plan "
                              f"is for order {plan.order} at step {plan.T_minus_t}")

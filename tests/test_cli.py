@@ -74,6 +74,13 @@ class TestSubcommands:
         rec = json.loads(out.splitlines()[-1])
         assert rec["exact_error"] == pytest.approx(0.25)
 
+    def test_error_csv_is_usage_error(self, capsys):
+        # error prints markdown lines or one JSON record; it has no CSV form
+        code, out = run_cli("error", "--weights", "00", "--p", "0", "--step", "1.0",
+                            "--format", "csv")
+        assert code == 2
+        assert out == ""
+
     def test_tables_markdown(self):
         code, out = run_cli("tables", "--id", "23", "--format", "md")
         assert code == 0

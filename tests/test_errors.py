@@ -14,7 +14,14 @@ import numpy as np
 import pytest
 
 from stochtaylor import coefficients, errors
-from stochtaylor.coefficients import bar_coefficient, clear_caches, exact_norm, get_tensor
+from stochtaylor.coefficients import (
+    bar_coefficient,
+    clear_caches,
+    exact_norm,
+    get_tensor,
+    parseval_defect,
+    squared_sum,
+)
 from stochtaylor.errors import (
     IndexPattern,
     accurate_sum,
@@ -42,7 +49,7 @@ def _weight(j):
 
 def transcribe_pair(profile, p, equal):
     """Printed k = 2 formulas: plain squares, or squares plus the swap term."""
-    norm = float(exact_norm(profile).value)
+    norm = float(exact_norm(profile))
     pref = _prefactor(profile)
     total = 0.0
     for j1, j2 in product(range(p + 1), repeat=2):
@@ -56,7 +63,7 @@ def transcribe_pair(profile, p, equal):
 
 def transcribe_triple(profile, p, case):
     """Printed k = 3 formulas; case is '1', '2', '3.1', '3.2', or '3.3'."""
-    norm = float(exact_norm(profile).value)
+    norm = float(exact_norm(profile))
     pref = _prefactor(profile)
     total = 0.0
     for j1, j2, j3 in product(range(p + 1), repeat=3):
@@ -103,7 +110,7 @@ def _double_perm_sum(profile, j, pos_a, pos_b):
 
 def transcribe_blocks(profile, p, blocks):
     """Printed k = 4, 5 formulas: permutation sums over the given blocks."""
-    norm = float(exact_norm(profile).value)
+    norm = float(exact_norm(profile))
     pref = _prefactor(profile)
     k = len(profile)
     nontrivial = [tuple(b - 1 for b in blk) for blk in blocks if len(blk) > 1]
@@ -290,7 +297,7 @@ class TestStructure:
 
     def test_error_within_variance(self):
         for profile, k in [((0, 0), 2), ((0, 0, 0), 3), ((0, 1, 0), 3)]:
-            cap = float(exact_norm(profile).value)
+            cap = float(exact_norm(profile))
             for p in (0, 3):
                 for pat in (IndexPattern.distinct(k), IndexPattern.all_equal(k)):
                     v = normalized_error(profile, pat, p)
@@ -306,6 +313,18 @@ class TestStructure:
             exact_error((0, 0), IndexPattern.distinct(2), 1, step)
         with pytest.raises(ValueError, match=repr(step)):
             error_bound_kfact((0, 0), 1, step)
+
+    @pytest.mark.parametrize("fn", [
+        lambda: error_bound_kfact((0, 0), -1, 1.0),
+        lambda: normalized_error((0, 0), IndexPattern.distinct(2), -1),
+        lambda: squared_sum((0, 0), -1),
+        lambda: parseval_defect((0, 0), -1),
+    ], ids=["error_bound_kfact", "normalized_error", "squared_sum", "parseval_defect"])
+    def test_negative_cap_rejected_with_tensor_cached(self, fn):
+        # a cached (0,0) tensor must not turn p = -1 into its top level sum
+        get_tensor((0, 0), 3)
+        with pytest.raises(ValueError, match="p=-1"):
+            fn()
 
     def test_time_components_rejected(self):
         with pytest.raises(ValueError):
@@ -335,7 +354,7 @@ class TestStructure:
 
     def test_clear_caches_drops_errors(self, monkeypatch):
         # private empty caches, so clearing them leaves the rest of the suite warm
-        for name in ("_prefix_cache", "_tensor_cache", "_norm_cache"):
+        for name in ("_prefix_cache", "_tensor_cache"):
             monkeypatch.setattr(coefficients, name, {})
         monkeypatch.setattr(errors, "_norm_err_cache", {})
         profile, pattern = (0, 1, 0), IndexPattern.distinct(3)

@@ -5,7 +5,7 @@ import pytest
 
 from stochtaylor import coefficients, errors
 from stochtaylor.coefficients import get_tensor
-from stochtaylor.errors import IndexPattern, exact_error
+from stochtaylor.errors import IndexPattern, error_bound_kfact, exact_error, normalized_error
 from stochtaylor.planner import (
     Condition,
     PlannerCapError,
@@ -76,8 +76,6 @@ class TestMinimalOrder:
             # generic ascending search over the tensor route
             slow = 0
             while True:
-                from stochtaylor.errors import normalized_error
-
                 if normalized_error((0, 0), pat, slow) <= thr:
                     break
                 slow += 1
@@ -92,7 +90,7 @@ class TestMinimalOrder:
                                                             profile, exp, h, q):
         # private empty caches stand in for clear_caches() and keep the rest
         # of the suite warm
-        for name in ("_prefix_cache", "_tensor_cache", "_norm_cache"):
+        for name in ("_prefix_cache", "_tensor_cache"):
             monkeypatch.setattr(coefficients, name, {})
         monkeypatch.setattr(errors, "_norm_err_cache", {})
         calls = []
@@ -136,6 +134,21 @@ class TestMinimalOrder:
             minimal_order_kfact((0, 0, 0), Condition(4), step)
         with pytest.raises(ValueError, match=repr(step)):
             minimal_order((0, 0, 0), IndexPattern.distinct(3), Condition(4), step)
+
+    def test_strict_decides_an_exact_tie(self):
+        # each threshold equals the error (or bound) at a known cap, so the
+        # non-strict search stops there and the strict one a cap later
+        pair = minimal_order((0, 0), IndexPattern.distinct(2), Condition(3), 0.25)
+        strict_pair = minimal_order((0, 0), IndexPattern.distinct(2),
+                                    Condition(3, strict=True), 0.25)
+        assert (pair, strict_pair) == (0, 1)  # defect 1/4 at cap 0, threshold 1/4
+        distinct = IndexPattern.distinct(3)
+        tie = normalized_error((0, 0, 0), distinct, 2)
+        assert minimal_order((0, 0, 0), distinct, Condition(4, tie), 1.0) == 2
+        assert minimal_order((0, 0, 0), distinct, Condition(4, tie, strict=True), 1.0) == 3
+        tie = error_bound_kfact((0, 0, 0), 2, 1.0)
+        assert minimal_order_kfact((0, 0, 0), Condition(4, tie), 1.0) == 2
+        assert minimal_order_kfact((0, 0, 0), Condition(4, tie, strict=True), 1.0) == 3
 
     def test_kfact_order_dominates(self):
         cond = Condition(4)

@@ -520,6 +520,25 @@ class TestWickBlocks:
         assert peak - current < 2 * 2**20
 
 
+class TestLoneCall:
+    @pytest.mark.parametrize("indices,arities", [((1, 2, 3), [3]), ((1, 2, 1), [3, 1])])
+    def test_contracts_only_pairs_that_agree(self, indices, arities, monkeypatch):
+        # a pair of differing components adds nothing, and the blocks are
+        # charged by the one component per axis the call gathers (a stack's
+        # charge would cut these 10 000 paths into 79 blocks of 128)
+        panel = make_panel(np.random.default_rng(5), 3, 5, paths=10_000)
+        calls = []
+        contract = sampling._contract
+
+        def counting(coeff, zs):
+            calls.append(len(zs))
+            return contract(coeff, zs)
+
+        monkeypatch.setattr(sampling, "_contract", counting)
+        sample_ito(IntegralSpec((0, 0, 0), indices, 1.0), 5, panel)
+        assert calls == arities * 55
+
+
 class TestNegativeCap:
     # a warm tensor cache must not turn a negative cap into a silent zero
     @pytest.fixture(params=["cold", "warm"])
