@@ -22,17 +22,18 @@ from stochtaylor.sampling import (
 rng = np.random.default_rng(7)
 
 # Draw a pair integral with equal components: at any cap it collapses to
-# the classical (W^2 - h)/2 functional of a single normal.
-panel = make_panel(rng, m=1, p_max=8)
+# the classical (W^2 - h)/2 functional of a single normal.  The samplers
+# return one value per path; a single draw is a panel of one path.
+panel = make_panel(rng, m=1, p_max=8, paths=1)
 spec = IntegralSpec((0, 0), (1, 1), 0.5)
-z0 = panel.data[0, 0]
+z0 = panel.data[0, 0, 0]
 print("pair integral, equal components:",
-      sample_ito(spec, 8, panel), "==", 0.25 * (z0**2 - 1))
+      sample_ito(spec, 8, panel)[0], "==", 0.25 * (z0**2 - 1))
 
 # Ito vs Stratonovich: for equal components they differ by the diagonal
 # coefficient sum, here exactly h/2.
-strat = sample_stratonovich(spec, 8, panel)
-ito = sample_ito(spec, 8, panel)
+strat = sample_stratonovich(spec, 8, panel)[0]
+ito = sample_ito(spec, 8, panel)[0]
 print(f"Stratonovich - Ito = {strat - ito:.6f} (h/2 = 0.25)")
 
 # Monte Carlo validation of the exact error formula for the triple integral.

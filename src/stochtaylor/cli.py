@@ -2,9 +2,9 @@
 
 Subcommands: ``error``, ``truncate``, ``plan``, ``tables``, ``check``,
 ``mse``, ``integrate``, ``order``.  Every run echoes its resolved
-configuration as comment lines so output is reproducible byte-for-byte from
-the same argv and seed.  Exit codes: 0 success, 1 domain error, 2 usage
-error.
+configuration, as a ``>`` line or inside the record of ``error --format
+jsonl``, so output is reproducible byte-for-byte from the same argv and
+seed.  Exit codes: 0 success, 1 domain error, 2 usage error.
 """
 
 from __future__ import annotations
@@ -21,11 +21,13 @@ _PLAN_ORDERS = {**{str(o): o for o in planner.SCHEME_ORDERS},
                 **{s: o for s, o in planner.SCHEME_ORDER.items() if s != "euler"}}
 
 
+def _config(args, keys):
+    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+
+
 def _echo_config(args, keys):
-    fmt = getattr(args, "format", "md")
-    prefix = "#" if fmt != "md" else ">"
-    parts = [f"{k}={getattr(args, k)}" for k in keys if getattr(args, k, None) is not None]
-    print(f"{prefix} stochtaylor {args.command} " + " ".join(parts))
+    parts = [f"{k}={v}" for k, v in _config(args, keys).items()]
+    print(f"> stochtaylor {args.command} " + " ".join(parts))
 
 
 def _parse_weights(text):
@@ -53,15 +55,15 @@ def _cmd_error(args):
     pattern = _parse_pattern(args, profile.k)
     res = errors.exact_error(profile, pattern, args.p, args.step)
     bound = errors.error_bound_kfact(profile, args.p, args.step)
-    _echo_config(args, ["weights", "pattern", "p", "step", "format"])
+    keys = ["weights", "pattern", "p", "step", "format"]
     if args.format == "jsonl":
         import json
 
-        print(json.dumps({
-            "exact_error": res.value, "normalized": res.normalized,
-            "kfact_bound": bound, "p": args.p, "step": args.step,
-        }))
+        print(json.dumps({"command": args.command, **_config(args, keys),
+                          "exact_error": res.value, "normalized": res.normalized,
+                          "kfact_bound": bound}))
     else:
+        _echo_config(args, keys)
         print(f"exact_error {res.value:.12g}")
         print(f"normalized {res.normalized:.12g}")
         print(f"kfact_bound {bound:.12g}")
@@ -70,12 +72,10 @@ def _cmd_error(args):
 
 def _cmd_truncate(args):
     profile = _parse_weights(args.weights)
-    if args.k is not None and args.k != profile.k:
-        raise ValueError(f"--k {args.k} contradicts weights of length {profile.k}")
     pattern = _parse_pattern(args, profile.k)
     cond = planner.Condition(args.order_exp, args.constant, args.strict)
     q = planner.minimal_order(profile, pattern, cond, args.step)
-    _echo_config(args, ["k", "weights", "pattern", "step", "order_exp", "constant", "strict"])
+    _echo_config(args, ["weights", "pattern", "step", "order_exp", "constant", "strict"])
     print(q)
     return 0
 
@@ -200,7 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_error)
 
     p = sub.add_parser("truncate", help="minimal cap meeting the mean-square condition")
-    p.add_argument("--k", type=int, default=None)
     p.add_argument("--weights", required=True)
     p.add_argument("--pattern", default="distinct")
     p.add_argument("--step", type=float, required=True)

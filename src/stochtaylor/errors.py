@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterator, Tuple
 
 import numpy as np
@@ -103,20 +103,12 @@ class IndexPattern:
 
         Yielded as 0-based axis tuples suitable for ``np.transpose``.
         """
-        per_block = [list(permutations(b)) for b in self.blocks]
-
-        def rec(i, current):
-            if i == len(per_block):
-                yield tuple(current)
-                return
-            block = self.blocks[i]
-            for perm in per_block[i]:
-                nxt = list(current)
+        for perms in product(*(permutations(b) for b in self.blocks)):
+            axes = [0] * self.k
+            for block, perm in zip(self.blocks, perms):
                 for src, dst in zip(block, perm):
-                    nxt[dst - 1] = src - 1
-                yield from rec(i + 1, nxt)
-
-        yield from rec(0, [None] * self.k)
+                    axes[dst - 1] = src - 1
+            yield tuple(axes)
 
     def __eq__(self, other):
         return (

@@ -6,7 +6,8 @@ coefficient multiplies the Wick-type bracket ``prod zeta + sum over r of
 zetas``.  Pair indicators require equal Wiener components and equal basis
 degrees.  The Stratonovich variant keeps only the plain product term.
 One kernel evaluates, in path blocks, a lone call's index tuple or, in
-``stack_ito``, all m^k tuples of a profile, kept on the read-only panel.
+``stack_ito``, all m^k tuples of a profile.  Every sampler works on a batch
+of paths; a single draw is a batch of one.
 
 A discretization oracle evaluates the same integral as a left-point iterated
 Riemann sum over a fine Wiener path; drawing the expansion's Gaussians from
@@ -114,23 +115,18 @@ class IntegralSpec:
 class GaussianPanel:
     """The i.i.d. standard normals zeta_j^(i) feeding one approximation.
 
-    ``data`` has shape (m, p_max + 1) for a single draw or
-    (paths, m, p_max + 1) for a batch, read-only (a writable input is copied).
+    ``data`` has shape (paths, m, p_max + 1), read-only (a writable input is
+    copied, so a caller's later writes cannot change the panel).
     """
 
     def __init__(self, data: np.ndarray):
         data = np.asarray(data, dtype=np.float64)
-        if data.ndim not in (2, 3):
-            raise ValueError("panel must be (m, p+1) or (paths, m, p+1)")
+        if data.ndim != 3:
+            raise ValueError(f"panel must be (paths, m, p+1), got shape {data.shape}")
         self._data = data.copy() if data.flags.writeable or not data.flags.owndata else data
-        self._data.flags.writeable = False  # so the values stack_ito keeps cannot go stale
-        self._stacks: dict = {}  # (profile, cap, step) -> stack_ito's values
+        self._data.flags.writeable = False
 
     data = property(lambda self: self._data)
-
-    @property
-    def batched(self) -> bool:
-        return self.data.ndim == 3
 
     @property
     def m(self) -> int:
@@ -141,21 +137,18 @@ class GaussianPanel:
         return self.data.shape[-1] - 1
 
     def component(self, i: int, p: int) -> np.ndarray:
-        """zeta_0..zeta_p of Wiener component ``i`` (1-based), batch-shaped."""
+        """zeta_0..zeta_p of Wiener component ``i`` (1-based), (paths, p + 1)."""
         if not 1 <= i <= self.m:
             raise ValueError(f"component {i} outside 1..{self.m}")
         if p > self.p_max:
             raise ValueError(f"panel covers degrees <= {self.p_max}, need {p}")
-        block = self.data[..., i - 1, : p + 1]
-        return block if self.batched else block[np.newaxis, :]
+        return self.data[:, i - 1, : p + 1]
 
 
-def make_panel(rng: np.random.Generator, m: int, p_max: int,
-               paths: int | None = None) -> GaussianPanel:
+def make_panel(rng: np.random.Generator, m: int, p_max: int, paths: int) -> GaussianPanel:
     """Draw a fresh panel; counter-based bit generators give reproducible
     independent streams under a documented seed."""
-    shape = (m, p_max + 1) if paths is None else (paths, m, p_max + 1)
-    data = rng.standard_normal(shape)
+    data = rng.standard_normal((paths, m, p_max + 1))
     data.flags.writeable = False  # the panel's own, so it is not copied
     return GaussianPanel(data)
 
@@ -222,7 +215,7 @@ def _wick_sums(profile: WeightProfile, p: int, T_minus_t: float, ito: bool,
     check_cap(p)
     used, counts, gathers = _tuple_tables(comps)
     panel.component(1 + used[-1], p)  # raises if the panel is too small
-    z = panel.data[..., : p + 1] if panel.batched else panel.data[np.newaxis, :, : p + 1]
+    z = panel.data[..., : p + 1]
     k, n, pair00 = len(comps), p + 1, ito and p > 0 and profile == (0, 0)
     terms = None if pair00 else _wick_terms(profile, p, T_minus_t, ito)
     # per path, tuples + k + 1 arrays as wide as the first contraction's output
@@ -255,36 +248,32 @@ def _wick_sums(profile: WeightProfile, p: int, T_minus_t: float, ito: bool,
     return out
 
 
-def _sample(spec: IntegralSpec, p: int, panel: GaussianPanel, ito: bool, stack=None):
-    at = tuple(i - 1 for i in spec.wiener_indices)
-    if stack is None:
-        stack, at = _wick_sums(spec.profile, p, spec.T_minus_t, ito, panel, tuple(zip(at))), 0
-    value = stack[at]
-    return value if panel.batched else float(value[0])
+def _sample(spec: IntegralSpec, p: int, panel: GaussianPanel, ito: bool) -> np.ndarray:
+    comps = tuple((i - 1,) for i in spec.wiener_indices)
+    return _wick_sums(spec.profile, p, spec.T_minus_t, ito, panel, comps)[0]
 
 
-def sample_ito(spec: IntegralSpec, p: int, panel: GaussianPanel):
-    """Truncated Gaussian-product approximation of the iterated Ito integral.
+def sample_ito(spec: IntegralSpec, p: int, panel: GaussianPanel) -> np.ndarray:
+    """Truncated Gaussian-product approximation of the iterated Ito integral,
+    one value per path of the panel.
 
     An integral whose error vanishes at every cap is evaluated at cap 0,
-    whatever ``p``.  Values ``stack_ito`` kept are read from the panel.  Returns a
-    scalar for a single panel, an array of per-path values for a batched panel.
+    whatever ``p``.
     """
     check_cap(p)
     if IndexPattern.from_indices(spec.wiener_indices).error_vanishes(spec.profile):
         p = 0
-    return _sample(spec, p, panel, True, panel._stacks.get((spec.profile, p, spec.T_minus_t)))
+    return _sample(spec, p, panel, True)
 
 
-def stack_ito(profile, p: int, T_minus_t: float, panel: GaussianPanel) -> None:
-    """Evaluate the Ito sums of all m^k index tuples at cap ``p`` at once and
-    keep the (m, ..., m, paths) values on the panel, where ``sample_ito`` reads
-    them at this cap and step (a zero-error integral it reads at cap 0)."""
+def stack_ito(profile, p: int, T_minus_t: float, panel: GaussianPanel) -> np.ndarray:
+    """Ito sums of all m^k index tuples of the panel's components at cap ``p``,
+    evaluated at once: tuple (i_1, ..., i_k) at ``[i_1 - 1, ..., i_k - 1]`` of
+    the (m, ..., m, paths) result.  Every tuple is evaluated at cap ``p``, a
+    zero-error one too."""
     spec = IntegralSpec(profile, (1,) * len(profile), T_minus_t)
     w, h, k, m = spec.profile, spec.T_minus_t, spec.k, panel.m
-    stack = _wick_sums(w, p, h, True, panel, (tuple(range(m)),) * k).reshape((m,) * k + (-1,))
-    stack.flags.writeable = False
-    panel._stacks[(w, p, h)] = stack
+    return _wick_sums(w, p, h, True, panel, (tuple(range(m)),) * k).reshape((m,) * k + (-1,))
 
 
 def sample_stratonovich(spec: IntegralSpec, p: int, panel: GaussianPanel):
@@ -301,23 +290,21 @@ def sample_stratonovich(spec: IntegralSpec, p: int, panel: GaussianPanel):
 # ---------------------------------------------------------------------------
 
 
-def _grid_array(increments) -> Tuple[np.ndarray, bool]:
-    """Increments as a (paths, m, N) float array with N >= 2, and whether the
-    input was a single (m, N) path."""
+def _grid_array(increments) -> np.ndarray:
+    """Increments as a (paths, m, N) float array with N >= 2."""
     arr = np.asarray(increments, dtype=np.float64)
-    if arr.ndim not in (2, 3):
-        raise ValueError(f"increments must be (m, N) or (paths, m, N), got shape {arr.shape}")
+    if arr.ndim != 3:
+        raise ValueError(f"increments must be (paths, m, N), got shape {arr.shape}")
     if arr.shape[-1] < 2:
         raise ValueError(f"need at least a 2-point grid, got N={arr.shape[-1]}")
-    single = arr.ndim == 2
-    return (arr[np.newaxis, ...] if single else arr), single
+    return arr
 
 
-def discretization_oracle(spec: IntegralSpec, increments: np.ndarray):
+def discretization_oracle(spec: IntegralSpec, increments: np.ndarray) -> np.ndarray:
     """Left-point iterated Riemann-Ito sum over a uniform grid.
 
     ``increments`` holds Wiener increments on an N-point uniform grid of the
-    step interval, shaped (m, N) or (paths, m, N).  Nesting is innermost
+    step interval, shaped (paths, m, N).  Nesting is innermost
     first: level m accumulates ``sum_l w_m(s_l) S_{m-1}(l) dW_l^(i_m)`` with
     ``w_m(s) = (-s)^{l_m}`` for time offset s from the interval start.
 
@@ -326,7 +313,7 @@ def discretization_oracle(spec: IntegralSpec, increments: np.ndarray):
     ``(S_{m-1} * w_m) * dW`` and a sequential cumulative sum, the same
     operations in the same order for every block size.
     """
-    arr, single = _grid_array(increments)
+    arr = _grid_array(increments)
     paths, m, N = arr.shape
     if max(spec.wiener_indices) > m:
         raise ValueError("increments cover fewer components than the integral needs")
@@ -357,7 +344,7 @@ def discretization_oracle(spec: IntegralSpec, increments: np.ndarray):
                 c, d = d, c
             np.cumsum(c, axis=1, out=c)
         out[a:b] = c[:, -1]
-    return float(out[0]) if single else out
+    return out
 
 
 def zetas_from_increments(increments: np.ndarray, p: int, T_minus_t: float) -> GaussianPanel:
@@ -368,25 +355,24 @@ def zetas_from_increments(increments: np.ndarray, p: int, T_minus_t: float) -> G
     """
     check_cap(p)
     check_step(T_minus_t)
-    arr, single = _grid_array(increments)
+    arr = _grid_array(increments)
     N = arr.shape[-1]
     dt = T_minus_t / N
     s_left = np.arange(N) * dt
     phi = np.array([[eval_phi(j, s, 0.0, T_minus_t) for s in s_left] for j in range(p + 1)])
     data = np.einsum("jn,pin->pij", phi, arr)
     data.flags.writeable = False
-    return GaussianPanel(data if not single else data[0])
+    return GaussianPanel(data)
 
 
 def wiener_increments(rng: np.random.Generator, m: int, N: int, T_minus_t: float,
-                      paths: int | None = None) -> np.ndarray:
-    """Draw Wiener increments over a uniform N-point grid."""
+                      paths: int) -> np.ndarray:
+    """Draw (paths, m, N) Wiener increments over a uniform N-point grid."""
     if N < 2:
         raise ValueError(f"need at least a 2-point grid, got N={N}")
     if m < 1:
         raise ValueError(f"need at least one Wiener component, got m={m}")
-    if paths is not None and paths < 1:
+    if paths < 1:
         raise ValueError(f"need at least one path, got paths={paths}")
     check_step(T_minus_t)
-    shape = (m, N) if paths is None else (paths, m, N)
-    return rng.standard_normal(shape) * math.sqrt(T_minus_t / N)
+    return rng.standard_normal((paths, m, N)) * math.sqrt(T_minus_t / N)

@@ -89,11 +89,12 @@ class StepContext:
 
     @classmethod
     def sample(cls, scheme: str, m: int, h: float, rng: np.random.Generator,
-               plan: TruncationPlan | None = None, paths: int | None = None) -> "StepContext":
-        """Draw one panel and evaluate every integral the scheme needs.
+               plan: TruncationPlan | None = None, *, paths: int) -> "StepContext":
+        """Draw one ``paths``-path panel and evaluate every integral the scheme needs.
 
-        ``plan`` must be for the scheme's order at step ``h``.  Each profile is
-        stacked over all index tuples (``stack_ito``) for ``sample_ito`` to read.
+        ``plan`` must be for the scheme's order at step ``h``.  Each (profile,
+        cap) is evaluated for all index tuples at once (``stack_ito``); a
+        zero-error integral is evaluated alone, at cap 0 (``sample_ito``).
         """
         order = SCHEME_ORDER[scheme]
         if plan is None:
@@ -101,26 +102,35 @@ class StepContext:
         elif plan.order != order or not math.isclose(plan.T_minus_t, h, rel_tol=1e-12):
             raise ValueError(f"scheme {scheme!r} has order {order} at h = {h}, but the plan "
                              f"is for order {plan.order} at step {plan.T_minus_t}")
-        specs, stacks, p_max = _step_specs(scheme, m, h, tuple(plan.items()))
-        panel = make_panel(rng, m, p_max, paths)
-        for profile, cap in stacks:
-            stack_ito(profile, cap, h, panel)
-        values = {(tuple(s.profile), s.wiener_indices): sample_ito(s, c, panel) for s, c in specs}
+        stacks, exact, width = _step_layout(scheme, m, h, tuple(plan.items()))
+        panel = make_panel(rng, m, width, paths)
+        values = {}
+        for profile, cap, reads in stacks:
+            stack = stack_ito(profile, cap, h, panel)
+            values.update((key, stack[at]) for key, at in reads)
+        values.update(((tuple(s.profile), s.wiener_indices), sample_ito(s, 0, panel))
+                      for s in exact)
         return cls(h, values, plan, panel)
 
 
 @lru_cache(maxsize=64)
-def _step_specs(scheme: str, m: int, h: float, caps: tuple):
-    """(spec, cap) per integral of a step, (profile, cap) to stack where an error does not
-    vanish, and the panel width, which drops only a pair's vanishing cap (or GBM re-seeds)."""
+def _step_layout(scheme: str, m: int, h: float, caps: tuple):
+    """A step's integrals: per (profile, cap) to stack, the (key, stack index) of each
+    integral whose error does not vanish; the specs of those whose error vanishes; and the
+    panel width, which drops only a pair's vanishing cap (or GBM re-seeds)."""
     caps = dict(caps)
-    specs = tuple((IntegralSpec(weights, indices, h), caps[weights])
-                  for weights in scheme_profiles(scheme_terms(scheme))
-                  for indices in _index_tuples(m, len(weights)))
-    vanish = [IndexPattern.from_indices(s.wiener_indices).error_vanishes(s.profile)
-              for s, _ in specs]
-    stacks = tuple(dict.fromkeys((s.profile, cap) for (s, cap), v in zip(specs, vanish) if not v))
-    return specs, stacks, max(0 if s.k == 2 and v else cap for (s, cap), v in zip(specs, vanish))
+    stacks, exact, width = {}, [], 0
+    for weights in scheme_profiles(scheme_terms(scheme)):
+        for indices in _index_tuples(m, len(weights)):
+            spec, cap = IntegralSpec(weights, indices, h), caps[weights]
+            if IndexPattern.from_indices(indices).error_vanishes(spec.profile):
+                exact.append(spec)
+                width = max(width, 0 if spec.k == 2 else cap)
+            else:
+                reads = stacks.setdefault((spec.profile, cap), [])
+                reads.append(((weights, indices), tuple(i - 1 for i in indices)))
+                width = max(width, cap)
+    return tuple((w, c, tuple(r)) for (w, c), r in stacks.items()), tuple(exact), width
 
 
 def _index_tuples(m: int, k: int) -> Iterable[Tuple[int, ...]]:

@@ -40,23 +40,26 @@ class TestBasics:
 
 class TestSubcommands:
     def test_truncate_published_entry(self):
-        code, out = run_cli("truncate", "--k", "3", "--weights", "0,0,0",
+        code, out = run_cli("truncate", "--weights", "0,0,0",
                             "--pattern", "distinct", "--step", "0.011",
                             "--order-exp", "4")
         assert code == 0
         assert out.splitlines()[-1] == "12"
 
     def test_truncate_published_entry_fine_step(self):
-        code, out = run_cli("truncate", "--k", "3", "--weights", "0,0,0",
+        code, out = run_cli("truncate", "--weights", "0,0,0",
                             "--pattern", "distinct", "--step", "0.0035",
                             "--order-exp", "4")
         assert code == 0
         assert out.splitlines()[-1] == "36"
 
-    def test_truncate_weight_length_conflict(self):
-        code, _ = run_cli("truncate", "--k", "2", "--weights", "0,0,0",
-                          "--step", "0.011", "--order-exp", "4")
-        assert code == 1
+    def test_truncate_k_is_usage_error(self, capsys):
+        # the multiplicity is the length of the weights; there is no --k
+        code, out = run_cli("truncate", "--k", "3", "--weights", "0,0,0",
+                            "--step", "0.011", "--order-exp", "4")
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --k 3" in capsys.readouterr().err
 
     def test_error_values(self):
         code, out = run_cli("error", "--weights", "00", "--pattern", "1,2",
@@ -71,8 +74,12 @@ class TestSubcommands:
         code, out = run_cli("error", "--weights", "00", "--pattern", "distinct",
                             "--p", "0", "--step", "1.0", "--format", "jsonl")
         assert code == 0
-        rec = json.loads(out.splitlines()[-1])
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 1
+        rec = records[0]
         assert rec["exact_error"] == pytest.approx(0.25)
+        assert {k: rec[k] for k in ("command", "weights", "pattern", "p", "step")} == {
+            "command": "error", "weights": "00", "pattern": "distinct", "p": 0, "step": 1.0}
 
     def test_error_csv_is_usage_error(self, capsys):
         # error prints markdown lines or one JSON record; it has no CSV form

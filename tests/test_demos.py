@@ -1,4 +1,4 @@
-"""Every demo runs to completion.
+"""Every demo, and the README's library quick tour, runs to completion.
 
 Demos 03 and 05 repeat the table and strong-order work of the acceptance
 tests; each takes under ten seconds on two cores.
@@ -25,8 +25,20 @@ SRC = str(Path(stochtaylor.__file__).resolve().parents[1])
     "05_strong_schemes.py",
 ])
 def test_demo_runs(name):
+    done = _run_python([str(ROOT / "demos" / name)])
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
+def test_readme_quick_tour_runs():
+    # the first python block after the quick-tour heading, as a reader copies it
+    text = (ROOT / "README.md").read_text()
+    tour = text.split("## Library quick tour", 1)[1].split("```python\n", 1)[1]
+    done = _run_python(["-c", tour.split("```", 1)[0]])
+    assert done.returncode == 0, done.stderr[-2000:]
+
+
+def _run_python(args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, str(ROOT / "demos" / name)], env=env,
-                          capture_output=True, text=True, timeout=600)
-    assert done.returncode == 0, done.stderr[-2000:]
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=600)

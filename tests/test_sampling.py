@@ -230,22 +230,23 @@ class TestPairPartitions:
 
 class TestSampleIto:
     def test_single_integral_example(self):
-        panel = GaussianPanel(np.array([[1.5, 0.0, 0.0]]))
-        assert sample_ito(IntegralSpec((0,), (1,), 4.0), 2, panel) == pytest.approx(3.0)
+        panel = GaussianPanel(np.array([[[1.5, 0.0, 0.0]]]))
+        assert sample_ito(IntegralSpec((0,), (1,), 4.0), 2, panel) == pytest.approx([3.0])
 
     def test_pair_equal_indicator(self):
         z = 0.7
-        panel = GaussianPanel(np.array([[z]]))
+        panel = GaussianPanel(np.array([[[z]]]))
         got = sample_ito(IntegralSpec((0, 0), (1, 1), 2.0), 0, panel)
-        assert got == pytest.approx((2.0 / 2) * (z * z - 1))
+        assert got == pytest.approx([(2.0 / 2) * (z * z - 1)])
 
     def test_pair_distinct_zero_panel(self):
-        panel = GaussianPanel(np.zeros((2, 2)))
-        assert sample_ito(IntegralSpec((0, 0), (1, 2), 1.0), 1, panel) == 0.0
+        panel = GaussianPanel(np.zeros((1, 2, 2)))
+        assert np.array_equal(sample_ito(IntegralSpec((0, 0), (1, 2), 1.0), 1, panel), [0.0])
 
     def test_triple_zero_panel(self):
-        panel = GaussianPanel(np.zeros((3, 3)))
-        assert sample_ito(IntegralSpec((0, 0, 0), (1, 2, 3), 1.0), 2, panel) == 0.0
+        panel = GaussianPanel(np.zeros((1, 3, 3)))
+        assert np.array_equal(sample_ito(IntegralSpec((0, 0, 0), (1, 2, 3), 1.0), 2, panel),
+                              [0.0])
 
     def test_single_integral_closed_forms(self):
         rng = np.random.default_rng(5)
@@ -276,30 +277,30 @@ class TestSampleIto:
         for indices in indices_pool:
             spec = IntegralSpec((0,) * k, indices, 0.83)
             for _ in range(n_panels):
-                panel = make_panel(rng, max(indices), p)
+                panel = make_panel(rng, max(indices), p, paths=1)
 
                 def z(i, j):
-                    return float(panel.data[i - 1, j])
+                    return float(panel.data[0, i - 1, j])
 
                 got = sample_ito(spec, p, panel)
                 expect = transcribers[k](spec, p, z)
-                assert got == pytest.approx(expect, rel=1e-10, abs=1e-12)
+                assert got == pytest.approx([expect], rel=1e-10, abs=1e-12)
 
     def test_weighted_profile_transcription(self):
         rng = np.random.default_rng(77)
         for profile in [(0, 1), (1, 0)]:
             for indices in [(1, 1), (1, 2)]:
                 spec = IntegralSpec(profile, indices, 0.44)
-                panel = make_panel(rng, 2, 3)
+                panel = make_panel(rng, 2, 3, paths=1)
 
                 def z(i, j):
-                    return float(panel.data[i - 1, j])
+                    return float(panel.data[0, i - 1, j])
 
                 assert sample_ito(spec, 3, panel) == pytest.approx(
-                    transcribe_k2(spec, 3, z), rel=1e-12)
+                    [transcribe_k2(spec, 3, z)], rel=1e-12)
 
     def test_insufficient_panel(self):
-        panel = GaussianPanel(np.zeros((1, 3)))
+        panel = GaussianPanel(np.zeros((1, 1, 3)))
         with pytest.raises(ValueError):
             sample_ito(IntegralSpec((0, 0, 1), (1, 1, 1), 1.0), 5, panel)
         with pytest.raises(ValueError):
@@ -352,12 +353,13 @@ class TestStratonovich:
             assert np.allclose(b - a, h / 2, rtol=1e-12)
 
     def test_triple_zero_panel(self):
-        panel = GaussianPanel(np.zeros((1, 4)))
-        assert sample_stratonovich(IntegralSpec((0, 0, 0), (1, 1, 1), 1.0), 3, panel) == 0.0
+        panel = GaussianPanel(np.zeros((1, 1, 4)))
+        got = sample_stratonovich(IntegralSpec((0, 0, 0), (1, 1, 1), 1.0), 3, panel)
+        assert np.array_equal(got, [0.0])
 
     def test_multiplicity_six_plain_sum(self):
         rng = np.random.default_rng(10)
-        panel = make_panel(rng, 2, 1)
+        panel = make_panel(rng, 2, 1, paths=1)
         spec = IntegralSpec((0,) * 6, (1, 2, 1, 2, 1, 2), 1.0)
         got = sample_stratonovich(spec, 1, panel)
         expect = 0.0
@@ -365,9 +367,9 @@ class TestStratonovich:
             c = scaled_coefficient((0,) * 6, j, 1.0)
             term = c
             for m, jm in enumerate(j):
-                term *= float(panel.data[spec.wiener_indices[m] - 1, jm])
+                term *= float(panel.data[0, spec.wiener_indices[m] - 1, jm])
             expect += term
-        assert got == pytest.approx(expect, rel=1e-10)
+        assert got == pytest.approx([expect], rel=1e-10)
 
 
 class TestContractionOracle:
@@ -382,18 +384,17 @@ class TestContractionOracle:
     def test_per_path_values_match_einsum(self, profile):
         k = len(profile)
         p = self.CAPS[k]
-        batched = make_panel(np.random.default_rng(sum(profile) + 10 * k), 3, p, paths=64)
-        single = GaussianPanel(batched.data[1])
+        panel64 = make_panel(np.random.default_rng(sum(profile) + 10 * k), 3, p, paths=64)
         tuples = (list(product((1, 2, 3), repeat=k)) if k <= 3
                   else _equality_patterns(k, 3))
         for indices in tuples:
             spec = IntegralSpec(profile, indices, 0.7)
             coeff = _coeff_array(spec, p)
-            for panel in (batched, single):
+            for panel in (panel64, GaussianPanel(panel64.data[1:2])):
                 zs = [panel.component(i, p) for i in indices]
                 for new, old in [(sample_ito, _bracket_terms(spec, p, panel, coeff)),
                                  (sample_stratonovich, _plain_product(coeff, zs))]:
-                    got = np.atleast_1d(new(spec, p, panel))
+                    got = new(spec, p, panel)
                     assert got.shape == old.shape
                     tol = 1e-12 * max(1.0, np.abs(old).max())
                     assert np.abs(got - old).max() <= tol, (new.__name__, indices)
@@ -405,16 +406,16 @@ class TestContractionOracle:
     def test_cap_zero_matches_einsum(self, profile):
         # cap 0 is evaluated as a product of Hermite polynomials
         k = len(profile)
-        batched = make_panel(np.random.default_rng(sum(profile) + 10 * k), 3, 0, paths=64)
+        panel64 = make_panel(np.random.default_rng(sum(profile) + 10 * k), 3, 0, paths=64)
         for indices in (product((1, 2, 3), repeat=k) if k <= 3 else _equality_patterns(k, 3)):
             spec = IntegralSpec(profile, indices, 0.7)
             coeff = _coeff_array(spec, 0)
-            for panel in (batched, GaussianPanel(batched.data[1])):
+            for panel in (panel64, GaussianPanel(panel64.data[1:2])):
                 old = _bracket_terms(spec, 0, panel, coeff)
-                got = np.atleast_1d(sample_ito(spec, 0, panel))
+                got = sample_ito(spec, 0, panel)
                 assert np.abs(got - old).max() <= 1e-12 * max(1.0, np.abs(old).max()), indices
 
-    @pytest.mark.parametrize("paths", [None, 64])
+    @pytest.mark.parametrize("paths", [1, 64])
     def test_step_integrals_match_einsum(self, paths):
         # every integral of a t25 step on m = 3 noise, at the plan's cap
         h = 0.25
@@ -425,7 +426,6 @@ class TestContractionOracle:
             spec = IntegralSpec(weights, indices, h)
             p = plan.cap(weights)
             old = _bracket_terms(spec, p, ctx.panel, _coeff_array(spec, p))
-            got = np.atleast_1d(got)
             assert got.shape == old.shape
             assert np.abs(got - old).max() <= 1e-12 * np.abs(old).max(), (weights, indices)
 
@@ -438,20 +438,21 @@ class TestWickBlocks:
     CAPS = {1: 6, 2: 5, 3: 4, 4: 3, 5: 2}
 
     def _values(self, data, profile, p):
-        # lone calls, then the same tuples read from a stacked panel
-        panel, stacked = GaussianPanel(data), GaussianPanel(data)
-        stack_ito(profile, p, 0.7, stacked)
+        # lone calls, then the same tuple read from the stack
+        panel = GaussianPanel(data)
+        stack = stack_ito(profile, p, 0.7, panel)
         out = []
         for indices in product((1, 2, 3), repeat=len(profile)):
             spec = IntegralSpec(profile, indices, 0.7)
             out.append(sample_ito(spec, p, panel))
             out.append(sample_stratonovich(spec, p, panel))
-            out.append(sample_ito(spec, p, stacked))
+            out.append(stack[tuple(i - 1 for i in indices)])
         return np.array(out)
 
     @pytest.mark.parametrize("profile", PROFILES)
     def test_stack_matches_lone_calls(self, profile):
-        # every tuple, zero-error ones included, as a lone call gives it
+        # every tuple as a lone call gives it; a zero-error one, which the stack
+        # evaluates at cap p and a lone call at cap 0, equal to rounding
         k = len(profile)
         data = make_panel(np.random.default_rng(40 + k), 3, self.CAPS[k], paths=37).data
         for p in (0, self.CAPS[k]):
@@ -520,6 +521,40 @@ class TestWickBlocks:
         assert peak - current < 2 * 2**20
 
 
+class TestStatelessSamplers:
+    """A sampler's value depends on its arguments alone, not on what ran before."""
+
+    def test_stack_leaves_lone_calls_unchanged(self):
+        panel = make_panel(np.random.default_rng(21), 2, 4, paths=25)
+        profiles = [(0,), (1,), (0, 0), (0, 1), (1, 0), (0, 0, 0), (0,) * 4]
+        specs = [IntegralSpec(w, indices, 0.25)
+                 for w in profiles for indices in product((1, 2), repeat=len(w))]
+        before = [sample_ito(spec, 3, panel) for spec in specs]
+        for w in profiles:
+            stack_ito(w, 3, 0.25, panel)
+        for spec, value in zip(specs, before):
+            assert np.array_equal(sample_ito(spec, 3, panel), value), spec
+
+    @pytest.mark.parametrize("scheme,m,h", [
+        ("t25", 2, 0.25), ("t25", 3, 0.25), ("t15", 1, 2.0**-7), ("t20", 2, 0.25),
+        ("milstein", 2, 0.25),
+    ])
+    def test_step_reads_stacks_and_exact_integrals(self, scheme, m, h):
+        # each value is its tuple's entry of the (profile, cap) stack or, when
+        # the error vanishes, the lone cap-0 evaluation, bit for bit
+        ctx = StepContext.sample(scheme, m, h, np.random.default_rng(3), paths=16)
+        stacks = {}
+        for (weights, indices), got in ctx.values.items():
+            spec = IntegralSpec(weights, indices, h)
+            if IndexPattern.from_indices(indices).error_vanishes(spec.profile):
+                expect = sample_ito(spec, 0, ctx.panel)
+            else:
+                if weights not in stacks:
+                    stacks[weights] = stack_ito(weights, ctx.plan.cap(weights), h, ctx.panel)
+                expect = stacks[weights][tuple(i - 1 for i in indices)]
+            assert np.array_equal(got, expect), (weights, indices)
+
+
 class TestLoneCall:
     @pytest.mark.parametrize("indices,arities", [((1, 2, 3), [3]), ((1, 2, 1), [3, 1])])
     def test_contracts_only_pairs_that_agree(self, indices, arities, monkeypatch):
@@ -581,15 +616,15 @@ class TestDiscretizationOracle:
 
     def test_single_path_shape(self):
         rng = np.random.default_rng(13)
-        inc = wiener_increments(rng, 2, 64, 0.5)
+        inc = wiener_increments(rng, 2, 64, 0.5, paths=1)
         val = discretization_oracle(IntegralSpec((0, 0), (1, 2), 0.5), inc)
-        assert isinstance(val, float)
+        assert val.shape == (1,)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            discretization_oracle(IntegralSpec((0,), (1,), 1.0), np.zeros((1, 1)))
+            discretization_oracle(IntegralSpec((0,), (1,), 1.0), np.zeros((1, 1, 1)))
         with pytest.raises(ValueError):
-            discretization_oracle(IntegralSpec((0, 0), (1, 2), 1.0), np.zeros((1, 8)))
+            discretization_oracle(IntegralSpec((0, 0), (1, 2), 1.0), np.zeros((1, 1, 8)))
 
     # distinct, all-equal and non-adjacent repeated components over m = 3
     CASES = [
@@ -615,9 +650,6 @@ class TestDiscretizationOracle:
             got = discretization_oracle(spec, inc)
             assert got.shape == (paths,)
             assert np.array_equal(got, _whole_array_oracle(spec, inc)), (profile, indices)
-            single = discretization_oracle(spec, inc[-1])
-            assert isinstance(single, float)
-            assert single == _whole_array_oracle(spec, inc[-1]), (profile, indices)
 
     def test_traced_peak_is_block_sized(self):
         # the increments alone are 49 MB; the oracle's own allocations must
@@ -655,14 +687,14 @@ class TestDiscretizationOracle:
 
 
 class TestIncrementValidation:
-    SHAPE = r"increments must be \(m, N\) or \(paths, m, N\)"
+    SHAPE = r"increments must be \(paths, m, N\)"
 
-    @pytest.mark.parametrize("shape", [(8,), (1, 2, 2, 8)])
+    @pytest.mark.parametrize("shape", [(8,), (1, 2, 2, 8), (1, 8)])
     def test_oracle_rejects_shape(self, shape):
         with pytest.raises(ValueError, match=self.SHAPE):
             discretization_oracle(IntegralSpec((0,), (1,), 1.0), np.zeros(shape))
 
-    @pytest.mark.parametrize("shape", [(8,), (1, 2, 2, 8)])
+    @pytest.mark.parametrize("shape", [(8,), (1, 2, 2, 8), (1, 8)])
     def test_zetas_reject_shape(self, shape):
         with pytest.raises(ValueError, match=self.SHAPE):
             zetas_from_increments(np.zeros(shape), 2, 1.0)
@@ -740,21 +772,20 @@ class TestPanel:
         assert abs(flat.var() - 1.0) < 4 * math.sqrt(2.0 / n)
 
     def test_shape_validation(self):
-        with pytest.raises(ValueError):
-            GaussianPanel(np.zeros(4))
+        for shape in [(4,), (2, 3)]:  # a single draw is a one-path panel
+            with pytest.raises(ValueError, match=r"panel must be \(paths, m, p\+1\)"):
+                GaussianPanel(np.zeros(shape))
 
     def test_data_is_read_only(self):
-        # a stacked panel's values must not go stale under a changed panel
+        # the panel keeps its own copy: later writes to the caller's array, or
+        # to the panel, cannot change what it samples
         drawn = np.random.default_rng(5).standard_normal((6, 2, 3))
         panel = GaussianPanel(drawn)
-        stack_ito((0, 1), 2, 0.5, panel)
         spec = IntegralSpec((0, 1), (1, 2), 0.5)
-        before = sample_ito(spec, 2, panel).copy()
-        drawn[...] = 0.0  # the caller's array was copied
+        before = sample_ito(spec, 2, panel)
+        drawn[...] = 0.0
         with pytest.raises(ValueError):
             panel.data[0, 0, 0] = 1.0
         with pytest.raises(AttributeError):
             panel.data = np.zeros((6, 2, 3))
         assert np.array_equal(sample_ito(spec, 2, panel), before)
-        assert np.allclose(sample_ito(spec, 2, GaussianPanel(panel.data)), before,
-                           rtol=1e-13, atol=0)

@@ -119,7 +119,7 @@ def _printed_step(problem: SdeProblem, scheme: str, x, t: float, ctx: StepContex
     return y
 
 
-def _ctx(scheme, m, h, seed, plan=None, paths=None):
+def _ctx(scheme, m, h, seed, plan=None, paths=1):
     rng = np.random.Generator(np.random.Philox(seed))
     return StepContext.sample(scheme, m, h, rng, plan, paths=paths)
 
@@ -297,7 +297,7 @@ class TestCoupling:
     def test_k1_integrals_are_exact_panel_combinations(self):
         h = 0.25
         ctx = _ctx("t25", 1, h, 6, plan=scheme_plan(2.5, h))
-        z = ctx.panel.data[0]
+        z = ctx.panel.data[0, 0]  # the one path's component 1
         assert ctx.integral((0,), (1,)) == pytest.approx(math.sqrt(h) * z[0], rel=1e-13)
         assert ctx.integral((1,), (1,)) == pytest.approx(
             -h**1.5 / 2 * (z[0] + z[1] / math.sqrt(3)), rel=1e-13)
@@ -308,7 +308,7 @@ class TestCoupling:
     def test_integrals_share_one_panel(self):
         h = 0.125
         ctx = _ctx("milstein", 1, h, 7)
-        z0 = ctx.panel.data[0, 0]
+        z0 = ctx.panel.data[:, 0, 0]
         i0 = ctx.integral((0,), (1,))
         i00 = ctx.integral((0, 0), (1, 1))
         assert i0 == pytest.approx(math.sqrt(h) * z0, rel=1e-13)
@@ -349,10 +349,10 @@ class TestIntegrate:
         plan = scheme_plan(1.0, h)
         xT, _ = integrate_batch(prob, "milstein", [1.0], h, 1, 1, seed=11, plan=plan)
         rng = np.random.Generator(np.random.Philox(11))
-        ctx = StepContext.sample("milstein", 1, h, rng, plan)
-        expect = step(prob, "milstein", np.array([1.0]), 0.0, ctx)
+        ctx = StepContext.sample("milstein", 1, h, rng, plan, paths=1)
+        expect = step(prob, "milstein", np.array([[1.0]]), 0.0, ctx)
         assert xT.shape == (1, 1)
-        assert np.array_equal(xT[0], expect)
+        assert np.array_equal(xT, expect)
 
     def test_deterministic_linear_t25_matches_matrix_taylor(self):
         A = np.array([[0.3, -0.2], [0.1, 0.25]])
