@@ -33,10 +33,10 @@ __all__ = [
     "scaled_coefficient",
     "check_step",
     "check_cap",
+    "accurate_sum",
     "exact_norm",
     "build_tensor",
     "parseval_defect",
-    "squared_sum",
     "get_tensor",
     "clear_caches",
 ]
@@ -177,6 +177,16 @@ def check_cap(p: int) -> None:
         raise ValueError(f"cap p must be non-negative, got p={p}")
 
 
+def accurate_sum(arr: np.ndarray) -> float:
+    """Compensated reduction: exact fsum over pairwise-summed chunks."""
+    flat = np.ravel(arr)
+    if flat.size <= 1024:
+        return math.fsum(flat.tolist())
+    n = (flat.size // 1024) * 1024
+    chunks = flat[:n].reshape(-1, 1024).sum(axis=1)
+    return math.fsum(chunks.tolist() + flat[n:].tolist())
+
+
 def scaled_coefficient(profile, j, T_minus_t: float) -> float:
     """Real Fourier coefficient of the Gaussian product expansion.
 
@@ -190,15 +200,6 @@ def scaled_coefficient(profile, j, T_minus_t: float) -> float:
         scale *= math.sqrt(2 * jm + 1)
     k, L = profile.k, profile.total_weight
     return scale * T_minus_t ** (profile.norm_exponent / 2) * 2.0 ** -(k + L) * float(bar)
-
-
-def _normalized_rational_sq(profile: WeightProfile, j, bar) -> Fraction:
-    """Exact square of the scaled coefficient at T - t = 1 (rational)."""
-    prod = 1
-    for jm in j:
-        prod *= 2 * jm + 1
-    k, L = profile.k, profile.total_weight
-    return Fraction(prod, 4 ** (k + L)) * bar * bar
 
 
 def exact_norm(profile) -> Fraction:
@@ -234,17 +235,15 @@ class CoeffTensor:
 
     Immutable after construction.  ``values`` maps each multi-index tuple
     (j_1 .. j_k, innermost first) to the exact rational reduced coefficient;
-    ``build_tensor`` supplies the float array and its level sums with it.
+    ``scaled`` is the float array ``build_tensor`` supplies with it.
     """
 
     def __init__(self, profile: WeightProfile, p: int, values: Dict[tuple, Fraction],
-                 scaled: np.ndarray, sq_sums_float: list, sq_sums: list):
+                 scaled: np.ndarray):
         self.profile = _profile(profile)
         self.p = int(p)
         self.values = values
         self._scaled = scaled
-        self._sq_sums_float = sq_sums_float
-        self._sq_sums = sq_sums  # exact level sums, extended on demand
 
     def __getitem__(self, j):
         return self.values[tuple(j)]
@@ -261,29 +260,18 @@ class CoeffTensor:
         """
         return self._scaled
 
-    def squared_sum_exact(self, p: int):
-        """Exact rational Parseval sum over the sub-box {0..p}^k at T-t = 1."""
-        if p > self.p:
-            raise ValueError(f"requested p={p} exceeds tensor cap {self.p}")
-        if len(self._sq_sums) <= p:
-            partial = list(self._sq_sums)
-            acc = partial[-1] if partial else Fraction(0)
-            for q in range(len(partial), self.p + 1):
-                acc += sum((_normalized_rational_sq(self.profile, j, self.values[j])
-                            for j in _shell(q, self.profile.k)), Fraction(0))
-                partial.append(acc)
-            self._sq_sums = partial
-        return self._sq_sums[p]
-
     def squared_sum_float(self, p: int) -> float:
-        """Parseval sum over the sub-box {0..p}^k at T-t = 1, in float64."""
-        if p > self.p:
-            raise ValueError(f"requested p={p} exceeds tensor cap {self.p}")
-        return self._sq_sums_float[p]
+        """Parseval sum over {0..p}^k at T-t = 1: the distinct-pattern error's reduction."""
+        if not 0 <= p <= self.p:
+            raise ValueError(f"requested p={p} outside the tensor's caps 0..{self.p}")
+        arr = self._scaled[(slice(0, p + 1),) * self.profile.k]
+        return accurate_sum(arr * arr)
 
 
-# largest tensor built so far per profile, reused by planner and errors
+# largest tensor built so far per profile, reused by planner and errors; and
+# per profile the exact Parseval sums over {0..q}^k for q = 0, 1, ...
 _tensor_cache: Dict[WeightProfile, CoeffTensor] = {}
+_sq_sum_cache: Dict[WeightProfile, list] = {}
 _tensor_lock = threading.Lock()
 
 
@@ -291,10 +279,9 @@ def build_tensor(profile, p: int) -> CoeffTensor:
     """Compute every reduced coefficient over the box {0..p}^k.
 
     Deterministic.  The cached tensor of the profile, when its cap is at most
-    ``p``, is extended over the new shells max(j) = q only: its exact values,
-    float entries and level sums are copied, and each new entry is computed
-    once.  Raises ``ValueError`` when the box would exceed ``ENTRY_CEILING``
-    entries.
+    ``p``, is extended over the new shells max(j) = q only: its exact values
+    and float entries are copied, and each new entry is computed once.
+    Raises ``ValueError`` when the box would exceed ``ENTRY_CEILING`` entries.
     """
     profile = _profile(profile)
     check_cap(p)
@@ -302,16 +289,16 @@ def build_tensor(profile, p: int) -> CoeffTensor:
     n_entries = (p + 1) ** k
     if n_entries > ENTRY_CEILING:
         raise ValueError(f"box {(p + 1)}^{k} = {n_entries} entries exceeds ceiling {ENTRY_CEILING}")
-    values, sq_sums, exact_sums = {}, [], []
+    values, start = {}, 0
     scaled = np.empty((p + 1,) * k, dtype=np.float64)
     with _tensor_lock:
         base = _tensor_cache.get(profile)
     if base is not None and base.p <= p:
         values.update(base.values)
         scaled[(slice(0, base.p + 1),) * k] = base._scaled
-        sq_sums, exact_sums = base._sq_sums_float[:], base._sq_sums[:]
+        start = base.p + 1
     root = np.sqrt(2.0 * np.arange(p + 1) + 1.0)
-    for q in range(len(sq_sums), p + 1):
+    for q in range(start, p + 1):
         shell = list(_shell(q, k))
         bars = [_bar(profile, j) for j in shell]
         values.update(zip(shell, bars))
@@ -321,22 +308,27 @@ def build_tensor(profile, p: int) -> CoeffTensor:
             entries *= root[idx[axis]]
         entries *= 2.0 ** -(k + L)
         scaled[idx] = entries
-        sq_sums.append((sq_sums[-1] if q else 0.0) + float((entries * entries).sum()))
-    return CoeffTensor(profile, p, values, scaled, sq_sums, exact_sums)
+    return CoeffTensor(profile, p, values, scaled)
 
 
-def squared_sum(profile, p: int, T_minus_t: float = 1.0) -> float:
-    """Parseval sum of squared scaled coefficients over {0..p}^k."""
+def parseval_defect(profile, p: int) -> Fraction:
+    """Exact rational defect ``I_k - sum C^2`` over {0..p}^k at T - t = 1, from the
+    profile's cached exact sums, extended shell by shell."""
     profile = _profile(profile)
-    t = get_tensor(profile, p)
-    return float(t.squared_sum_exact(p)) * T_minus_t**profile.norm_exponent
-
-
-def parseval_defect(profile, p: int):
-    """Exact rational defect ``I_k - sum C^2`` at T - t = 1."""
-    profile = _profile(profile)
-    t = get_tensor(profile, p)
-    return exact_norm(profile) - t.squared_sum_exact(p)
+    tensor = get_tensor(profile, p)
+    with _tensor_lock:
+        sums = _sq_sum_cache.get(profile, [])
+    if len(sums) <= p:
+        sums, scale = list(sums), 4 ** (profile.k + profile.total_weight)
+        for q in range(len(sums), p + 1):
+            # C_j^2 at T - t = 1 is prod(2 j_m + 1) barC_j^2 / 4^(k + sum l)
+            shell = sum(math.prod(2 * jm + 1 for jm in j) * tensor.values[j] ** 2
+                        for j in _shell(q, profile.k)) / scale
+            sums.append(sums[-1] + shell if sums else shell)
+        with _tensor_lock:
+            if len(_sq_sum_cache.get(profile, [])) < len(sums):
+                _sq_sum_cache[profile] = sums
+    return exact_norm(profile) - sums[p]
 
 
 def get_tensor(profile, p: int) -> CoeffTensor:
@@ -365,4 +357,5 @@ def clear_caches() -> None:
         _prefix_cache.clear()
     with _tensor_lock:
         _tensor_cache.clear()
+        _sq_sum_cache.clear()
     _norm_err_cache.clear()

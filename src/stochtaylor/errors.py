@@ -20,7 +20,7 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from .coefficients import WeightProfile, check_cap, check_step, exact_norm, get_tensor
+from .coefficients import WeightProfile, accurate_sum, check_cap, check_step, exact_norm, get_tensor
 
 __all__ = [
     "IndexPattern",
@@ -30,16 +30,6 @@ __all__ = [
     "error_bound_kfact",
     "accurate_sum",
 ]
-
-
-def accurate_sum(arr: np.ndarray) -> float:
-    """Compensated reduction: exact fsum over pairwise-summed chunks."""
-    flat = np.ravel(arr)
-    if flat.size <= 1024:
-        return math.fsum(flat.tolist())
-    n = (flat.size // 1024) * 1024
-    chunks = flat[:n].reshape(-1, 1024).sum(axis=1)
-    return math.fsum(chunks.tolist() + flat[n:].tolist())
 
 
 class IndexPattern:
@@ -154,9 +144,7 @@ def normalized_error(profile, pattern: IndexPattern, p: int) -> float:
     if cached is not None:
         return cached
     tensor = get_tensor(profile, p)
-    arr = tensor.scaled_array()
-    if tensor.p > p:
-        arr = arr[(slice(0, p + 1),) * profile.k]
+    arr = tensor.scaled_array()[(slice(0, p + 1),) * profile.k]
     total = 0.0
     for axes in pattern.axis_permutations():
         total += accurate_sum(arr * np.transpose(arr, axes))

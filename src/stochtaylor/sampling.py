@@ -121,8 +121,8 @@ class GaussianPanel:
 
     def __init__(self, data: np.ndarray):
         data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 3:
-            raise ValueError(f"panel must be (paths, m, p+1), got shape {data.shape}")
+        if data.ndim != 3 or 0 in data.shape:
+            raise ValueError(f"panel must be (paths, m, p+1), none empty, got shape {data.shape}")
         self._data = data.copy() if data.flags.writeable or not data.flags.owndata else data
         self._data.flags.writeable = False
 
@@ -145,9 +145,20 @@ class GaussianPanel:
         return self.data[:, i - 1, : p + 1]
 
 
+def _check_draw(m: int, paths: int) -> None:
+    """Reject a random draw over no Wiener component or no path."""
+    if m < 1:
+        raise ValueError(f"need at least one Wiener component, got m={m}")
+    if paths < 1:
+        raise ValueError(f"need at least one path, got paths={paths}")
+
+
 def make_panel(rng: np.random.Generator, m: int, p_max: int, paths: int) -> GaussianPanel:
     """Draw a fresh panel; counter-based bit generators give reproducible
     independent streams under a documented seed."""
+    _check_draw(m, paths)
+    if p_max < 0:
+        raise ValueError(f"need a non-negative degree cap, got p_max={p_max}")
     data = rng.standard_normal((paths, m, p_max + 1))
     data.flags.writeable = False  # the panel's own, so it is not copied
     return GaussianPanel(data)
@@ -370,9 +381,6 @@ def wiener_increments(rng: np.random.Generator, m: int, N: int, T_minus_t: float
     """Draw (paths, m, N) Wiener increments over a uniform N-point grid."""
     if N < 2:
         raise ValueError(f"need at least a 2-point grid, got N={N}")
-    if m < 1:
-        raise ValueError(f"need at least one Wiener component, got m={m}")
-    if paths < 1:
-        raise ValueError(f"need at least one path, got paths={paths}")
+    _check_draw(m, paths)
     check_step(T_minus_t)
     return rng.standard_normal((paths, m, N)) * math.sqrt(T_minus_t / N)

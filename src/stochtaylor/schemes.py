@@ -321,6 +321,9 @@ def bilinear_problem(A: np.ndarray | None = None, B1: np.ndarray | None = None,
     A = _DEFAULT_A if A is None else np.asarray(A, dtype=np.float64)
     B1 = _DEFAULT_B1 if B1 is None else np.asarray(B1, dtype=np.float64)
     B2 = _DEFAULT_B2 if B2 is None else np.asarray(B2, dtype=np.float64)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or B1.shape != A.shape or B2.shape != A.shape:
+        raise ValueError(f"A must be square and B1, B2 of its shape, got shapes "
+                         f"{A.shape}, {B1.shape}, {B2.shape}")
     n = A.shape[0]
     Bs = {1: B1, 2: B2}
 

@@ -68,6 +68,13 @@ class TestSubcommands:
         assert "exact_error 0.25" in out
         assert "kfact_bound 0.5" in out
 
+    def test_kfact_bound_is_kfact_times_the_distinct_error(self):
+        # the exact bound 2 * (1/2 - sum C^2) at p = 49 is 2/396 = 1/198
+        code, out = run_cli("error", "--weights", "00", "--p", "49", "--step", "1")
+        assert code == 0
+        assert "exact_error 0.00252525252525" in out
+        assert "kfact_bound 0.00505050505051" in out
+
     def test_error_jsonl(self):
         import json
 

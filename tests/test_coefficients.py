@@ -3,6 +3,7 @@ import math
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 from numpy.polynomial.legendre import legval
 
 import stochtaylor
+from stochtaylor import coefficients
 from stochtaylor.coefficients import (
     WeightProfile,
     bar_coefficient,
@@ -19,7 +21,6 @@ from stochtaylor.coefficients import (
     get_tensor,
     parseval_defect,
     scaled_coefficient,
-    squared_sum,
 )
 
 
@@ -203,17 +204,52 @@ class TestParseval:
             assert parseval_defect((0, 0), p) == Fraction(1, 4 * (2 * p + 1))
 
     def test_s50_value(self):
-        assert squared_sum((0, 0), 50) == pytest.approx(0.5 - 1 / 404, rel=1e-15)
+        assert exact_norm((0, 0)) - parseval_defect((0, 0), 50) == Fraction(1, 2) - Fraction(1, 404)
 
     @pytest.mark.parametrize("profile", [(0, 0), (0, 1), (1, 0), (0, 0, 0), (0, 0, 1)])
     def test_monotone_and_bounded(self, profile):
-        norm = float(exact_norm(profile))
-        prev = -1.0
+        # the sum of squares grows with p and stays below the kernel norm
+        prev = exact_norm(profile)
         for p in range(7):
-            s = squared_sum(profile, p)
-            assert s >= prev - 1e-15
-            assert s <= norm + 1e-15
-            prev = s
+            d = parseval_defect(profile, p)
+            assert 0 <= d <= prev
+            prev = d
+
+    def test_defect_leaves_cached_tensor_unchanged(self):
+        profile = (0, 1, 1)
+        tensor = get_tensor(profile, 4)
+        before, n = dict(vars(tensor)), len(tensor)
+        for p in (4, 2, 0):
+            parseval_defect(profile, p)
+        assert get_tensor(profile, 4) is tensor
+        assert vars(tensor).keys() == before.keys()
+        assert all(vars(tensor)[name] is value for name, value in before.items())
+        assert len(tensor) == n
+
+    def test_concurrent_defects_agree(self, monkeypatch):
+        # threads extend one profile's exact sums at once; no shell may be lost or mixed
+        for name in ("_tensor_cache", "_sq_sum_cache"):
+            monkeypatch.setattr(coefficients, name, {})
+        caps = [3, 7, 5, 9, 1, 8] * 2
+        results = {}
+
+        def run(i, p):
+            results[i] = parseval_defect((0, 0), p)
+
+        threads = [threading.Thread(target=run, args=item) for item in enumerate(caps)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {i: Fraction(1, 4 * (2 * p + 1)) for i, p in enumerate(caps)}
+        assert coefficients._sq_sum_cache[(0, 0)] == [
+            Fraction(1, 2) - Fraction(1, 4 * (2 * q + 1)) for q in range(10)]
 
     def test_finite_expansion_k1(self):
         # single integrals terminate: barC_j = 0 for j > l

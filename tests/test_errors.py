@@ -20,7 +20,6 @@ from stochtaylor.coefficients import (
     exact_norm,
     get_tensor,
     parseval_defect,
-    squared_sum,
 )
 from stochtaylor.errors import (
     IndexPattern,
@@ -280,6 +279,19 @@ class TestFactorialBound:
                 for pat in pats:
                     assert normalized_error(profile, pat, p) <= bound + 1e-14
 
+    @pytest.mark.parametrize("profile, top", [
+        ((0, 0), 80), ((0, 1), 80), ((0, 0, 0), 40), ((0, 0, 1), 40), ((0,) * 4, 12), ((0,) * 5, 6),
+    ])
+    def test_bound_is_kfact_times_distinct_error_bitwise(self, profile, top):
+        # one float reduction for the Parseval sum: the bound is exactly k! times
+        # the distinct-pattern error, not a second sum that agrees to rounding
+        k, e = len(profile), 2 * sum(profile) + len(profile)
+        distinct = IndexPattern.distinct(k)
+        for p in range(top + 1):
+            for h in (1.0, 0.37):
+                assert error_bound_kfact(profile, p, h) == (
+                    math.factorial(k) * normalized_error(profile, distinct, p) * h**e)
+
 
 class TestStructure:
     def test_monotone_in_cap(self):
@@ -317,9 +329,9 @@ class TestStructure:
     @pytest.mark.parametrize("fn", [
         lambda: error_bound_kfact((0, 0), -1, 1.0),
         lambda: normalized_error((0, 0), IndexPattern.distinct(2), -1),
-        lambda: squared_sum((0, 0), -1),
+        lambda: get_tensor((0, 0), 3).squared_sum_float(-1),
         lambda: parseval_defect((0, 0), -1),
-    ], ids=["error_bound_kfact", "normalized_error", "squared_sum", "parseval_defect"])
+    ], ids=["error_bound_kfact", "normalized_error", "squared_sum_float", "parseval_defect"])
     def test_negative_cap_rejected_with_tensor_cached(self, fn):
         # a cached (0,0) tensor must not turn p = -1 into its top level sum
         get_tensor((0, 0), 3)
@@ -354,11 +366,12 @@ class TestStructure:
 
     def test_clear_caches_drops_errors(self, monkeypatch):
         # private empty caches, so clearing them leaves the rest of the suite warm
-        for name in ("_prefix_cache", "_tensor_cache"):
+        for name in ("_prefix_cache", "_tensor_cache", "_sq_sum_cache"):
             monkeypatch.setattr(coefficients, name, {})
         monkeypatch.setattr(errors, "_norm_err_cache", {})
         profile, pattern = (0, 1, 0), IndexPattern.distinct(3)
         first = normalized_error(profile, pattern, 2)
+        parseval_defect(profile, 2)
         builds = []
 
         def counting_get_tensor(prof, p):
@@ -369,6 +382,7 @@ class TestStructure:
         assert normalized_error(profile, pattern, 2) == first
         assert builds == []  # warm: served from the error cache
         clear_caches()
+        assert coefficients._sq_sum_cache == {}
         assert normalized_error(profile, pattern, 2) == first
         assert builds == [((0, 1, 0), 2)]  # cold again: recomputed from a new tensor
 

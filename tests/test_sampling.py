@@ -3,9 +3,11 @@
 The key oracles are literal transcriptions of the printed expansions for
 multiplicities 2..5 (every indicator term written out) evaluated
 coefficient-by-coefficient, plus the left-point discretization oracle whose
-elementary identities are checked exactly.
+elementary identities are checked exactly.  A tensor Gauss-Hermite rule
+on the panel gives the sampler's mean and second moment exactly.
 """
 
+import functools
 import math
 import tracemalloc
 from itertools import product
@@ -16,9 +18,9 @@ import pytest
 from numpy.polynomial import hermite_e
 
 from stochtaylor import coefficients, sampling
-from stochtaylor.coefficients import WeightProfile, get_tensor, scaled_coefficient
-from stochtaylor.errors import IndexPattern, exact_error
-from stochtaylor.planner import TruncationPlan, scheme_plan
+from stochtaylor.coefficients import WeightProfile, exact_norm, get_tensor, scaled_coefficient
+from stochtaylor.errors import IndexPattern, exact_error, normalized_error
+from stochtaylor.planner import TruncationPlan, case_catalog, scheme_plan
 from stochtaylor.sampling import (
     GaussianPanel,
     IntegralSpec,
@@ -722,6 +724,68 @@ class TestIncrementValidation:
     def test_increments_reject_paths(self, paths):
         with pytest.raises(ValueError, match=f"got paths={paths}"):
             wiener_increments(np.random.default_rng(0), 1, 8, 1.0, paths=paths)
+
+
+class TestPanelValidation:
+    @pytest.mark.parametrize("m, p_max, paths, message", [
+        (2, 3, 0, "need at least one path, got paths=0"),
+        (2, 3, -1, "need at least one path, got paths=-1"),
+        (0, 3, 2, "need at least one Wiener component, got m=0"),
+        (2, -1, 2, "need a non-negative degree cap, got p_max=-1"),
+    ])
+    def test_make_panel_rejects(self, m, p_max, paths, message):
+        with pytest.raises(ValueError, match=message):
+            make_panel(np.random.default_rng(0), m, p_max, paths=paths)
+
+    @pytest.mark.parametrize("shape", [(0, 2, 4), (3, 0, 4), (3, 2, 0)])
+    def test_panel_rejects_empty_axis(self, shape):
+        with pytest.raises(ValueError, match="none empty"):
+            GaussianPanel(np.zeros(shape))
+
+    def test_step_rejects_no_components(self):
+        with pytest.raises(ValueError, match="got m=0"):
+            StepContext.sample("t15", 0, 0.25, np.random.default_rng(0), paths=2)
+
+
+# every published equality pattern of k = 2..5, with each weight profile of k = 2, 3
+_PUBLISHED = [case for k, letters in ((2, "abc"), (3, "abcd"), (4, " "), (5, " "))
+              for letter in letters for case in case_catalog(k, letter.strip())]
+
+
+def _hermite_panel(counts, p):
+    """Tensor Gauss-Hermite rule as a panel of components 1..len(counts) and its
+    probability weights: ``c + 1`` nodes for each zeta of a component occurring
+    ``c`` times, exact for every polynomial of degree <= 2c + 1 in it."""
+    rules = [hermite_e.hermegauss(c + 1) for c in counts for _ in range(p + 1)]
+    grids = np.meshgrid(*(x for x, _ in rules), indexing="ij")
+    weights = functools.reduce(np.multiply.outer, (w / math.sqrt(2 * math.pi) for _, w in rules))
+    data = np.stack([g.ravel() for g in grids], axis=1).reshape(-1, len(counts), p + 1)
+    return GaussianPanel(data), weights.ravel()
+
+
+class TestGaussHermiteMoments:
+    """The cap-p Ito approximation is a polynomial of degree c in each zeta of a
+    component occurring c times, so the rule integrates its square exactly: its
+    mean is 0 and its second moment is the kernel norm minus the truncation error."""
+
+    NODES = 5000
+
+    @pytest.mark.parametrize("label, profile, pattern", _PUBLISHED,
+                             ids=[case[0] for case in _PUBLISHED])
+    def test_mean_and_second_moment(self, label, profile, pattern):
+        counts = [len(b) for b in pattern.blocks]
+        per_degree = math.prod(c + 1 for c in counts)
+        p = max(q for q in range(7) if per_degree ** (q + 1) <= self.NODES)
+        indices = [0] * pattern.k
+        for comp, block in enumerate(pattern.blocks, start=1):
+            for pos in block:
+                indices[pos - 1] = comp
+        panel, weights = _hermite_panel(counts, p)
+        vals = sample_ito(IntegralSpec(profile, indices, 1.0), p, panel)
+        target = float(exact_norm(profile)) - normalized_error(profile, pattern, p)
+        second = math.fsum((weights * vals * vals).tolist())
+        assert abs(math.fsum((weights * vals).tolist())) <= 1e-12 * math.sqrt(target)
+        assert second == pytest.approx(target, rel=1e-12, abs=0)
 
 
 class TestStatistics:

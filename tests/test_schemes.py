@@ -368,6 +368,14 @@ class TestIntegrate:
             expect = prop @ expect
         assert np.allclose(xT[0], expect, rtol=1e-12)
 
+    @pytest.mark.parametrize("matrices", [
+        {"A": np.eye(3)}, {"A": np.ones((2, 3))}, {"A": np.ones(2)},
+        {"B1": np.eye(3)}, {"B2": np.ones((2, 1))},
+    ])
+    def test_bilinear_shape_mismatch_rejected(self, matrices):
+        with pytest.raises(ValueError, match="A must be square and B1, B2 of its shape"):
+            bilinear_problem(**matrices)
+
     @pytest.mark.parametrize("paths,n_steps", [(0, 4), (-3, 4), (8, 0)])
     def test_empty_run_rejected(self, paths, n_steps):
         message = f"paths and n_steps must be at least 1, got {paths} and {n_steps}"
