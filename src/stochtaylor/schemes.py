@@ -3,9 +3,13 @@
 Coefficient functions and their operator-applied variants are supplied by
 the user through a registry keyed by operator words: ``"a"``, ``"B"``,
 ``"GB"``, ``"La"``, ... where ``G`` is the diffusion-direction first-order
-operator (one component index per ``G``) and ``L`` the drift generator.
-Each registry entry is a callable ``f(x, t, *indices) -> array`` that
-broadcasts over leading axes of ``x`` (shape ``(..., n)``).
+operator (one component index per ``G``, one more for a trailing ``B``) and
+``L`` the drift generator, applied right to left.  Each registry entry is a
+callable ``f(x, t) -> array`` that returns the word at every index tuple: for
+``x`` of shape ``(n,)`` or ``(paths, n)`` and a word of k indices, shape
+``(m,) * k + x.shape`` with tuple (i1, ..., ik) at ``[i1 - 1, ..., ik - 1]``.
+``linear_problem`` builds the registry of a linear system; ``gbm`` and
+``bilinear2d`` are two of its instances.
 
 A step draws every iterated integral it needs from one Gaussian panel, so
 the integrals inside a step are dependent through shared normals exactly as
@@ -37,6 +41,7 @@ __all__ = [
     "grid_steps",
     "integrate_batch",
     "estimate_strong_order",
+    "linear_problem",
     "gbm_problem",
     "bilinear_problem",
 ]
@@ -58,15 +63,16 @@ class SdeProblem:
     exact_solution: Callable | None = None  # (x0, T, W_T) -> x_T, when known
     name: str = ""
 
-    def op(self, word: str, x, t, *indices):
-        try:
-            fn = self.ops[word]
-        except KeyError:
-            raise KeyError(
-                f"problem {self.name or '<anon>'} has no registry entry for "
-                f"operator word {word!r}"
-            ) from None
-        return np.asarray(fn(x, t, *indices), dtype=np.float64)
+    def op(self, word: str, x, t):
+        """The word at every index tuple, shape ``(m,) * arity + x.shape``."""
+        if word not in self.ops:
+            raise KeyError(f"problem {self.name or '<anon>'} has no registry entry for "
+                           f"operator word {word!r}")
+        value = np.asarray(self.ops[word](x, t), dtype=np.float64)
+        if value.shape != (self.m,) * _arity(word) + np.shape(x):
+            raise ValueError(f"operator word {word!r} gave shape {value.shape}; an entry "
+                             f"stacks the word over its index tuples")
+        return value
 
     def validate_for(self, scheme: str) -> None:
         missing = [w for w in required_words(scheme) if w not in self.ops]
@@ -74,15 +80,14 @@ class SdeProblem:
             raise KeyError(f"scheme {scheme!r} needs missing operator words {missing}")
 
 
+@dataclass(eq=False)
 class StepContext:
     """Realized iterated-integral values for one step, from one panel."""
 
-    def __init__(self, h: float, values: Dict[tuple, np.ndarray], plan: TruncationPlan,
-                 panel: GaussianPanel):
-        self.h = h
-        self.values = values
-        self.plan = plan
-        self.panel = panel
+    h: float
+    values: Dict[tuple, np.ndarray]
+    plan: TruncationPlan
+    panel: GaussianPanel
 
     def integral(self, weights: Tuple[int, ...], indices: Tuple[int, ...]):
         return self.values[(tuple(weights), tuple(indices))]
@@ -159,33 +164,31 @@ def step(problem: SdeProblem, scheme: str, x, t: float, ctx: StepContext):
     Each group of rows is one sum over the index tuples; per tuple the rows
     add up in table order, and each row is its combination, summed left to
     right, times its operator word.  That order fixes every floating-point
-    sum, so a step is reproducible bit for bit.
+    sum, so a step is reproducible bit for bit.  A row's word is evaluated
+    once, at all index tuples, before the sum.
     """
     problem.validate_for(scheme)
     x = np.asarray(x, dtype=np.float64)
     hp = (1.0, ctx.h, ctx.h * ctx.h, ctx.h**3)
     y = x
     for k, rows in _step_groups(scheme):
-        scaled = [(word, [(hp[power] * num / den, weights) for num, den, power, weights in terms])
+        scaled = [(problem.op(word, x, t),
+                   [(hp[power] * num / den, weights) for num, den, power, weights in terms])
                   for word, terms in rows]
         acc = None
         for idx in _index_tuples(problem.m, k):
+            at = tuple(i - 1 for i in idx)
             group = None
-            for word, terms in scaled:
+            for ops, terms in scaled:
                 combo = None
                 for coef, weights in terms:
                     term = coef * ctx.integral(weights, idx) if weights else coef
                     combo = term if combo is None else combo + term
-                value = _mul(combo, problem.op(word, x, t, *idx))
+                value = np.asarray(combo)[..., np.newaxis] * ops[at]
                 group = value if group is None else group + value
             acc = group if acc is None else acc + group
         y = y + acc
     return y
-
-
-def _mul(integral_value, vec):
-    """Multiply per-path integral values with coefficient vectors."""
-    return np.asarray(integral_value)[..., np.newaxis] * vec
 
 
 def integrate_batch(problem: SdeProblem, scheme: str, x0, T: float, n_steps: int,
@@ -199,12 +202,14 @@ def integrate_batch(problem: SdeProblem, scheme: str, x0, T: float, n_steps: int
     problem.validate_for(scheme)
     if paths < 1 or n_steps < 1:
         raise ValueError(f"paths and n_steps must be at least 1, got {paths} and {n_steps}")
+    x0 = np.asarray(x0, dtype=np.float64)
+    if x0.size != problem.n or not np.isfinite(x0).all():
+        raise ValueError(f"x0 must be n = {problem.n} finite values, got {x0.tolist()}")
     h = T / n_steps
     if plan is None:
         plan = scheme_plan(SCHEME_ORDER[scheme], h)
     rng = np.random.Generator(np.random.Philox(seed))
-    x = np.broadcast_to(np.asarray(x0, dtype=np.float64).reshape(problem.n),
-                        (paths, problem.n)).copy()
+    x = np.broadcast_to(x0.reshape(problem.n), (paths, problem.n)).copy()
     W = np.zeros((paths, problem.m))
     for istep in range(n_steps):
         ctx = StepContext.sample(scheme, problem.m, h, rng, plan, paths=paths)
@@ -254,20 +259,25 @@ def estimate_strong_order(problem: SdeProblem, scheme: str, steps, paths: int,
     if len(set(steps)) < 3:
         raise ValueError(f"order regression needs at least 3 distinct step sizes, got {steps}")
     grid = [grid_steps(T, h) for h in steps]
+    if reference not in ("exact", "fine"):
+        raise ValueError(f"reference must be 'exact' or 'fine', got {reference!r}")
+    if reference == "exact" and problem.exact_solution is None:
+        raise ValueError("problem has no exact solution; use reference='fine'")
+    if reference == "fine" and fine_factor < 1:
+        raise ValueError(f"fine_factor must be at least 1, got {fine_factor}")
     errors = []
-    for i, n_steps in enumerate(grid):
+    for i, (h, n_steps) in enumerate(zip(steps, grid)):
         xT, WT = integrate_batch(problem, scheme, x0, T, n_steps, paths, seed + 1000 * i)
         if reference == "exact":
-            if problem.exact_solution is None:
-                raise ValueError("problem has no exact solution; use reference='fine'")
             ref = problem.exact_solution(np.asarray(x0, dtype=np.float64), T, WT)
-        elif reference == "fine":
+        else:
             ref, _ = integrate_batch(problem, scheme, x0, T, n_steps * fine_factor,
                                      paths, seed + 7777 + 1000 * i)
-        else:
-            raise ValueError("reference must be 'exact' or 'fine'")
-        err = np.abs(xT - ref).sum(axis=1).mean()
-        errors.append(float(err))
+        err = float(np.abs(xT - ref).sum(axis=1).mean())
+        if not (err > 0 and math.isfinite(err)):
+            raise ValueError(f"strong error at step h = {h} is {err}; the order "
+                             f"regression needs positive finite errors")
+        errors.append(err)
     lx = np.log(steps)
     ly = np.log(errors)
     A = np.vstack([lx, np.ones_like(lx)]).T
@@ -284,64 +294,53 @@ def estimate_strong_order(problem: SdeProblem, scheme: str, steps, paths: int,
 # ---------------------------------------------------------------------------
 
 
-def gbm_problem(mu: float = 0.5, sigma: float = 1.0) -> SdeProblem:
-    """Geometric Brownian motion dx = mu x dt + sigma x dW (n = m = 1).
+def linear_problem(A, Bs, exact_solution: Callable | None = None, name: str = "") -> SdeProblem:
+    """The linear system dx = A x dt + sum_i B_i x dW^i, with m = len(Bs) channels.
 
-    Every operator word maps x to a scalar multiple of x: one factor mu per
-    L and for a final a, one factor sigma per index the word takes.  The
-    exact solution is the lognormal flow.
+    Each word is a matrix times x.  Its letters, read right to left, each
+    multiply the product on the right, a and L by A, B and G by their
+    channel's B_i: GB(i1, i2) is B_{i2} B_{i1}.  Each word is built once.
     """
+    A, Bs = np.asarray(A, dtype=np.float64), [np.asarray(B, dtype=np.float64) for B in Bs]
+    m = len(Bs)
+    if m == 0:
+        raise ValueError("a linear problem needs at least one noise channel, got m = 0")
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or any(B.shape != A.shape for B in Bs):
+        names = ", ".join(f"B{i}" for i in range(1, m + 1))
+        raise ValueError(f"A must be square and {names} of its shape, got shapes "
+                         + ", ".join(str(M.shape) for M in [A, *Bs]))
+    if not np.isfinite(np.stack([A, *Bs])).all():
+        raise ValueError("A and the channel matrices must be finite")
 
-    def lin(c):
-        return lambda x, t, *idx: c * x
+    def entry(word):
+        mats = []
+        for indices in product(range(m), repeat=_arity(word)):
+            M, idx = None, list(indices)
+            for sym in reversed(word):
+                S = Bs[idx.pop()] if sym in "BG" else A
+                M = S if M is None else M @ S
+            mats.append(M.T)
+        Mt = np.reshape(mats, (m,) * _arity(word) + A.shape)  # C order: fast matmul
+        return lambda x, t: x @ Mt
 
-    ops = {w: lin(mu ** (w.count("L") + w.endswith("a")) * sigma ** _arity(w))
-           for w in required_words(SCHEMES[-1])}
+    ops = {w: entry(w) for w in required_words(SCHEMES[-1])}
+    return SdeProblem(A.shape[0], m, ops, exact_solution=exact_solution, name=name)
+
+
+def gbm_problem(mu: float = 0.5, sigma: float = 1.0) -> SdeProblem:
+    """Geometric Brownian motion dx = mu x dt + sigma x dW, with its lognormal flow."""
 
     def exact(x0, T, W_T):
         x0 = np.asarray(x0, dtype=np.float64).reshape(1)
         return x0 * np.exp((mu - 0.5 * sigma**2) * T + sigma * W_T[:, :1] * 1.0)
 
-    return SdeProblem(1, 1, ops, exact_solution=exact, name="gbm")
-
-
-_DEFAULT_A = np.array([[0.2, -0.3], [0.1, 0.1]])
-_DEFAULT_B1 = np.array([[0.4, 0.1], [0.0, 0.3]])
-_DEFAULT_B2 = np.array([[0.0, -0.25], [0.35, 0.05]])
+    return linear_problem([[mu]], [[[sigma]]], exact_solution=exact, name="gbm")
 
 
 def bilinear_problem(A: np.ndarray | None = None, B1: np.ndarray | None = None,
                      B2: np.ndarray | None = None) -> SdeProblem:
-    """Two-dimensional bilinear system with two non-commuting noise channels.
-
-    dx = A x dt + B_1 x dW^1 + B_2 x dW^2.  For linear coefficient maps the
-    operator words reduce to matrix products: each G appends its channel
-    matrix, each L appends the drift matrix, applied right-to-left.
-    """
-    A = _DEFAULT_A if A is None else np.asarray(A, dtype=np.float64)
-    B1 = _DEFAULT_B1 if B1 is None else np.asarray(B1, dtype=np.float64)
-    B2 = _DEFAULT_B2 if B2 is None else np.asarray(B2, dtype=np.float64)
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or B1.shape != A.shape or B2.shape != A.shape:
-        raise ValueError(f"A must be square and B1, B2 of its shape, got shapes "
-                         f"{A.shape}, {B1.shape}, {B2.shape}")
-    n = A.shape[0]
-    Bs = {1: B1, 2: B2}
-
-    def word_matrix(word, indices):
-        # read right to left: a and L give A, B and G the channel of their index
-        idx = list(indices)
-        M = None
-        for sym in reversed(word):
-            S = Bs[idx.pop()] if sym in "BG" else A
-            M = S if M is None else M @ S
-        return M
-
-    def entry(word):
-        def fn(x, t, *indices):
-            M = word_matrix(word, indices)
-            return x @ M.T
-
-        return fn
-
-    ops = {w: entry(w) for w in required_words(SCHEMES[-1])}
-    return SdeProblem(n, 2, ops, exact_solution=None, name="bilinear2d")
+    """dx = A x dt + B_1 x dW^1 + B_2 x dW^2: two non-commuting channels, 2 x 2 by default."""
+    A = [[0.2, -0.3], [0.1, 0.1]] if A is None else A
+    B1 = [[0.4, 0.1], [0.0, 0.3]] if B1 is None else B1
+    B2 = [[0.0, -0.25], [0.35, 0.05]] if B2 is None else B2
+    return linear_problem(A, (B1, B2), name="bilinear2d")

@@ -183,6 +183,17 @@ class TestSubcommands:
         assert code == 1
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("integrate", "--scheme", "t15", "--problem", "bilinear", "--h", "0.25", "--T", "1",
+          "--paths", "10", "--seed", "1", "--x0", "nan"),
+         "x0 must be n = 2 finite values, got [nan, nan]"),
+        (("order", "--scheme", "t15", "--problem", "gbm", "--steps", "0.5,0.25,0.125",
+          "--paths", "10", "--x0", "0"), "strong error at step h = 0.5 is 0.0"),
+    ])
+    def test_degenerate_start_rejected(self, argv, message, capsys):
+        assert run_cli(*argv) == (1, "")
+        assert message in capsys.readouterr().err
+
     def test_mse_paths_rejected(self, capsys):
         code, _ = run_cli("mse", "--spec", "00", "--i", "1,2", "--p", "0", "--paths", "0")
         assert code == 1

@@ -16,6 +16,7 @@ from stochtaylor.schemes import (
     estimate_strong_order,
     gbm_problem,
     integrate_batch,
+    linear_problem,
     required_words,
     step,
 )
@@ -52,7 +53,7 @@ def _printed_step(problem: SdeProblem, scheme: str, x, t: float, ctx: StepContex
     I = ctx.integral
 
     def op(word, *indices):
-        return problem.op(word, x, t, *indices)
+        return problem.op(word, x, t)[tuple(i - 1 for i in indices)]
 
     def wsum(values_by_index):
         acc = None
@@ -119,6 +120,12 @@ def _printed_step(problem: SdeProblem, scheme: str, x, t: float, ctx: StepContex
     return y
 
 
+def _linear3(rng, n=2):
+    """A linear problem with three non-commuting random noise channels."""
+    return linear_problem(0.3 * rng.standard_normal((n, n)),
+                          0.3 * rng.standard_normal((3, n, n)), name="linear3")
+
+
 def _ctx(scheme, m, h, seed, plan=None, paths=1):
     rng = np.random.Generator(np.random.Philox(seed))
     return StepContext.sample(scheme, m, h, rng, plan, paths=paths)
@@ -157,6 +164,12 @@ class TestStep:
         with pytest.raises(KeyError, match="GGB"):
             prob.validate_for("t15")
 
+    def test_registry_entry_shape_checked(self):
+        prob = gbm_problem()
+        prob.ops["GB"] = lambda x, t: x  # one tuple's value, not the stack
+        with pytest.raises(ValueError, match=r"'GB' gave shape \(2, 1\)"):
+            prob.op("GB", np.ones((2, 1)), 0.0)
+
     def test_required_words_nested(self):
         w1 = set(required_words("milstein"))
         w2 = set(required_words("t15"))
@@ -176,7 +189,7 @@ class TestSchemeNesting:
         self.x = np.array([1.1, -0.4])
 
     def _op(self, word, *idx):
-        return self.prob.op(word, self.x, 0.0, *idx)
+        return self.prob.op(word, self.x, 0.0)[tuple(i - 1 for i in idx)]
 
     def test_t15_minus_milstein(self):
         got = (step(self.prob, "t15", self.x, 0.0, self.ctx)
@@ -243,10 +256,70 @@ class TestSchemeNesting:
         assert np.allclose(got, expect, rtol=1e-12, atol=1e-14)
 
 
+class TestWordOrder:
+    """Each registry word is its leftmost operator applied to the rest of the word.
+
+    For linear g, G_i g(x) = J_g B_i x and L g(x) = J_g A x, with J_g read off
+    the registry entry of the rest evaluated on the basis vectors.
+    """
+
+    def test_words_match_operator_definitions(self):
+        rng = np.random.default_rng(11)
+        n, m = 3, 3
+        A = rng.standard_normal((n, n))
+        Bs = rng.standard_normal((m, n, n))
+        prob = linear_problem(A, Bs)
+        x = rng.standard_normal((4, n))
+        basis = np.eye(n)
+        assert np.allclose(prob.op("a", x, 0.0), x @ A.T, rtol=1e-13)
+        for i in range(m):
+            assert np.allclose(prob.op("B", x, 0.0)[i], x @ Bs[i].T, rtol=1e-13)
+        for word in required_words("t25"):
+            if len(word) == 1:
+                continue
+            head, rest = word[0], word[1:]
+            got = prob.op(word, x, 0.0)
+            # rows of the rest's entry on the basis are the columns of its Jacobian
+            jac = np.swapaxes(prob.op(rest, basis, 0.0), -1, -2)
+            for at in np.ndindex(got.shape[:-2]):
+                if head == "G":
+                    inner = x @ Bs[at[0]].T
+                    expect = inner @ jac[at[1:]].T
+                else:
+                    expect = (x @ A.T) @ jac[at].T
+                assert np.allclose(got[at], expect, rtol=1e-12, atol=1e-14), (word, at)
+
+
+class TestLinearProblem:
+    def test_channel_count_and_names(self):
+        prob = _linear3(np.random.default_rng(0))
+        assert (prob.n, prob.m, prob.name) == (2, 3, "linear3")
+        assert prob.op("GGB", np.ones(2), 0.0).shape == (3, 3, 3, 2)
+
+    def test_shape_message_names_every_channel(self):
+        with pytest.raises(ValueError, match="A must be square and B1, B2, B3 of its shape"):
+            linear_problem(np.eye(2), [np.eye(2), np.eye(2), np.eye(3)])
+
+    def test_no_channel_rejected(self):
+        with pytest.raises(ValueError, match="at least one noise channel, got m = 0"):
+            linear_problem(np.eye(2), [])
+
+    @pytest.mark.parametrize("bad", ["A", "B"])
+    def test_non_finite_rejected(self, bad):
+        A, B = np.eye(2), np.eye(2)
+        if bad == "A":
+            A = np.array([[np.nan, 0.0], [0.0, 1.0]])
+        else:
+            B = np.array([[np.inf, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="must be finite"):
+            linear_problem(A, [B])
+
+
 class TestPrintedOracle:
     """The table-driven step evaluates exactly what the printed step does."""
 
-    PROBLEMS = {"gbm": gbm_problem, "bilinear2d": bilinear_problem}
+    PROBLEMS = {"gbm": gbm_problem, "bilinear2d": bilinear_problem,
+                "linear3": lambda: _linear3(np.random.default_rng(5))}
 
     @pytest.mark.parametrize("paths", [1, 64])
     @pytest.mark.parametrize("problem", sorted(PROBLEMS))
@@ -382,6 +455,16 @@ class TestIntegrate:
         with pytest.raises(ValueError, match=message):
             integrate_batch(gbm_problem(), "milstein", [1.0], 1.0, n_steps, paths, seed=0)
 
+    @pytest.mark.parametrize("x0", [[1.0, 2.0], [[1.0], [1.0]], []])
+    def test_x0_size_rejected(self, x0):
+        with pytest.raises(ValueError, match=r"x0 must be n = 1 finite values, got"):
+            integrate_batch(gbm_problem(), "milstein", x0, 1.0, 4, 2, seed=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_x0_non_finite_rejected(self, value):
+        with pytest.raises(ValueError, match="x0 must be n = 2 finite values"):
+            integrate_batch(bilinear_problem(), "t15", [1.0, value], 1.0, 4, 2, seed=0)
+
     def test_batch_reproducible(self):
         prob = gbm_problem()
         a = integrate_batch(prob, "milstein", [1.0], 1.0, 8, 64, seed=5)
@@ -413,6 +496,27 @@ class TestStrongOrder:
     def test_bad_step_rejected(self, steps):
         with pytest.raises(ValueError, match="positive and finite"):
             estimate_strong_order(gbm_problem(), "milstein", steps, 10, [1.0], 1.0)
+
+    @pytest.mark.parametrize("problem,kwargs,message", [
+        (bilinear_problem, {}, "problem has no exact solution"),
+        (gbm_problem, {"reference": "coarse"},
+         "reference must be 'exact' or 'fine', got 'coarse'"),
+        (gbm_problem, {"reference": "fine", "fine_factor": 0},
+         "fine_factor must be at least 1, got 0"),
+    ])
+    def test_bad_reference_fails_before_integrating(self, problem, kwargs, message, monkeypatch):
+        calls = []
+        monkeypatch.setattr(schemes, "integrate_batch", lambda *a, **k: calls.append(a))
+        prob = problem()
+        with pytest.raises(ValueError, match=message):
+            estimate_strong_order(prob, "t15", [2**-4, 2**-5, 2**-6], 20000,
+                                  [1.0] * prob.n, 1.0, **kwargs)
+        assert calls == []
+
+    def test_zero_error_rejected(self):
+        # x0 = 0 stays at 0 on every path, so the error is 0 and log 0 is undefined
+        with pytest.raises(ValueError, match=r"strong error at step h = 0.5 is 0.0"):
+            estimate_strong_order(gbm_problem(), "t15", [0.5, 0.25, 0.125], 10, [0.0], 1.0)
 
     def test_fine_reference_runs(self):
         prob = bilinear_problem()
