@@ -6,18 +6,10 @@ approximation and a left-point Riemann-Ito oracle on one probability space.
 The empirical mean-square gap then matches the exact truncation error.
 """
 
-import math
-
 import numpy as np
 
 from stochtaylor import IndexPattern, IntegralSpec, exact_error, sample_ito
-from stochtaylor.sampling import (
-    discretization_oracle,
-    make_panel,
-    sample_stratonovich,
-    wiener_increments,
-    zetas_from_increments,
-)
+from stochtaylor.sampling import make_panel, oracle_mse, sample_stratonovich
 
 rng = np.random.default_rng(7)
 
@@ -36,17 +28,14 @@ strat = sample_stratonovich(spec, 8, panel)[0]
 ito = sample_ito(spec, 8, panel)[0]
 print(f"Stratonovich - Ito = {strat - ito:.6f} (h/2 = 0.25)")
 
-# Monte Carlo validation of the exact error formula for the triple integral.
+# Monte Carlo validation of the exact error formula for the triple integral:
+# the oracle and the expansion read the same streamed Wiener paths.
 paths, grid = 40_000, 1024
 spec = IntegralSpec((0, 0, 0), (1, 2, 3), 1.0)
-inc = wiener_increments(rng, 3, grid, 1.0, paths=paths)
-oracle = discretization_oracle(spec, inc)
-panel = zetas_from_increments(inc, 5, 1.0)
+results = oracle_mse([spec], (0, 2, 5), rng, paths, grid, 1.0, chunk=paths)
 print(f"\ntriple integral, {paths} paths, {grid}-point oracle:")
 for p in (0, 2, 5):
-    approx = sample_ito(spec, p, panel)
-    d = (oracle - approx) ** 2
-    emp, se = d.mean(), d.std() / math.sqrt(paths)
+    emp, se = results[spec, p]
     exact = exact_error((0, 0, 0), IndexPattern.distinct(3), p, 1.0).value
     print(f"  cap {p}: empirical {emp:.6f}  exact {exact:.6f}  "
           f"z = {(emp - exact) / se:+.2f}")

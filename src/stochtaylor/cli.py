@@ -114,25 +114,9 @@ def _cmd_mse(args):
     spec = sampling.IntegralSpec(profile, indices, args.step)
     pattern = errors.IndexPattern.from_indices(indices)
     exact = errors.exact_error(profile, pattern, args.p, args.step).value
-    if args.paths < 1:
-        raise ValueError(f"paths must be at least 1, got {args.paths}")
     rng = np.random.Generator(np.random.Philox(args.seed))
-    m = max(indices)
-    emp_sum, emp_sqsum, done = 0.0, 0.0, 0
-    chunk = min(args.paths, 20000)
-    while done < args.paths:
-        n = min(chunk, args.paths - done)
-        inc = sampling.wiener_increments(rng, m, args.grid, args.step, paths=n)
-        oracle = sampling.discretization_oracle(spec, inc)
-        panel = sampling.zetas_from_increments(inc, args.p, args.step)
-        approx = sampling.sample_ito(spec, args.p, panel)
-        d = (oracle - approx) ** 2
-        emp_sum += float(d.sum())
-        emp_sqsum += float((d * d).sum())
-        done += n
-    mean = emp_sum / done
-    var = max(emp_sqsum / done - mean**2, 0.0)
-    se = (var / done) ** 0.5
+    mean, se = sampling.oracle_mse([spec], [args.p], rng, args.paths, args.grid, args.step,
+                                   chunk=20000)[spec, args.p]
     _echo_config(args, ["spec", "i", "p", "step", "paths", "grid", "seed"])
     print(f"exact {exact:.10g}")
     print(f"empirical {mean:.10g}")

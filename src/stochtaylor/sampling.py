@@ -12,7 +12,9 @@ of paths; a single draw is a batch of one.
 A discretization oracle evaluates the same integral as a left-point iterated
 Riemann sum over a fine Wiener path; drawing the expansion's Gaussians from
 the same increments puts both on one probability space, which is what makes
-small-sample mean-square comparisons meaningful.
+small-sample mean-square comparisons meaningful.  One validator,
+``oracle_mse``, streams blocks of such paths through the oracle and the
+panel built on the same path and reduces the squared gaps.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "zetas_from_increments",
     "wiener_increments",
     "make_panel",
+    "oracle_mse",
 ]
 
 
@@ -367,13 +370,18 @@ def zetas_from_increments(increments: np.ndarray, p: int, T_minus_t: float) -> G
     check_cap(p)
     check_step(T_minus_t)
     arr = _grid_array(increments)
-    N = arr.shape[-1]
-    dt = T_minus_t / N
-    s_left = np.arange(N) * dt
-    phi = np.array([[eval_phi(j, s, 0.0, T_minus_t) for s in s_left] for j in range(p + 1)])
-    data = np.einsum("jn,pin->pij", phi, arr)
+    data = np.einsum("jn,pin->pij", _basis(p, arr.shape[-1], float(T_minus_t)), arr)
     data.flags.writeable = False
     return GaussianPanel(data)
+
+
+@functools.lru_cache(maxsize=32)
+def _basis(p: int, N: int, T_minus_t: float) -> np.ndarray:
+    """phi_0..phi_p at the N left grid points of the step, (p + 1, N), read-only."""
+    s_left = np.arange(N) * (T_minus_t / N)
+    phi = np.array([[eval_phi(j, s, 0.0, T_minus_t) for s in s_left] for j in range(p + 1)])
+    phi.flags.writeable = False
+    return phi
 
 
 def wiener_increments(rng: np.random.Generator, m: int, N: int, T_minus_t: float,
@@ -384,3 +392,39 @@ def wiener_increments(rng: np.random.Generator, m: int, N: int, T_minus_t: float
     _check_draw(m, paths)
     check_step(T_minus_t)
     return rng.standard_normal((paths, m, N)) * math.sqrt(T_minus_t / N)
+
+
+# Wiener increments per path block of the validator (16 MB)
+_PATH_BLOCK_ELEMENTS = 2**21
+
+
+def oracle_mse(specs, caps, rng: np.random.Generator, paths: int, grid: int,
+               T_minus_t: float, chunk: int):
+    """``{(spec, p): (mean, stderr)}`` of the squared gap between each spec's Ito
+    sum at each cap and its discretization oracle, all on one Wiener path of
+    m = the largest Wiener index components.
+
+    Paths are drawn in blocks of ``_PATH_BLOCK_ELEMENTS`` increments that continue
+    one stream of ``rng``; the gaps and their squares are summed once per ``chunk``
+    paths, so the chunk, not the block, fixes the rounding of the result.
+    """
+    if paths < 2:
+        raise ValueError(f"paths must be at least 2, got {paths}")
+    if any(spec.T_minus_t != T_minus_t for spec in specs):
+        raise ValueError(f"every spec must span the step T_minus_t = {T_minus_t}")
+    m = max(max(spec.wiener_indices) for spec in specs)
+    rows = max(1, _PATH_BLOCK_ELEMENTS // (m * max(grid, 2)))  # a bad grid fails the draw
+    keys = [(spec, p) for spec in specs for p in caps]
+    d, sums = np.empty((len(keys), min(chunk, paths))), np.zeros((len(keys), 2))
+    for done in range(0, paths, chunk):
+        n = min(chunk, paths - done)
+        for a in range(0, n, rows):
+            inc = wiener_increments(rng, m, grid, T_minus_t, min(rows, n - a))
+            panel = zetas_from_increments(inc, max(caps), T_minus_t)
+            oracles = {spec: discretization_oracle(spec, inc) for spec in specs}
+            for row, (spec, p) in zip(d, keys):
+                row[a:a + len(inc)] = (oracles[spec] - sample_ito(spec, p, panel)) ** 2
+        sums += [(row.sum(), (row * row).sum()) for row in d[:, :n]]
+    moments = [(s / paths, sq / paths) for s, sq in sums.tolist()]
+    return {key: (mean, math.sqrt(max(sq - mean**2, 0.0) / paths))
+            for key, (mean, sq) in zip(keys, moments)}

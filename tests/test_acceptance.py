@@ -6,7 +6,6 @@ documented single-cell discrepancies (order-1.0/1.5 grids at step 1/2) are
 asserted at their computed values with the published value recorded.
 """
 
-import math
 import time
 
 import numpy as np
@@ -20,13 +19,7 @@ from stochtaylor.planner import (
     check_hypothesis,
     reproduce_table,
 )
-from stochtaylor.sampling import (
-    IntegralSpec,
-    discretization_oracle,
-    sample_ito,
-    wiener_increments,
-    zetas_from_increments,
-)
+from stochtaylor.sampling import IntegralSpec, oracle_mse
 from stochtaylor.schemes import estimate_strong_order, gbm_problem
 
 from fractions import Fraction
@@ -406,34 +399,20 @@ class TestCriterion7:
     CHUNK = 10_000
 
     def test_monte_carlo_validation(self):
-        # cases sharing a noise dimension m draw the same seeded increments,
-        # so each m is drawn, and its panel built, once per chunk
-        sums = {case: dict.fromkeys((0, 2, 5), 0.0) for case in self.CASES}
-        sqsums = {case: dict.fromkeys((0, 2, 5), 0.0) for case in self.CASES}
+        # cases sharing a noise dimension m share one seeded Wiener path
+        specs = {case: IntegralSpec(*case, 1.0) for case in self.CASES}
+        results = {}
         for m in sorted({max(indices) for _, indices in self.CASES}):
-            cases = [case for case in self.CASES if max(case[1]) == m]
-            specs = [IntegralSpec(*case, 1.0) for case in cases]
+            group = [spec for spec in specs.values() if max(spec.wiener_indices) == m]
             rng = np.random.Generator(np.random.Philox(2024))
-            done = 0
-            while done < self.PATHS:
-                n = min(self.CHUNK, self.PATHS - done)
-                inc = wiener_increments(rng, m, self.GRID, 1.0, paths=n)
-                panel = zetas_from_increments(inc, 5, 1.0)
-                for case, spec in zip(cases, specs):
-                    oracle = discretization_oracle(spec, inc)
-                    for p in (0, 2, 5):
-                        d = (oracle - sample_ito(spec, p, panel)) ** 2
-                        sums[case][p] += float(d.sum())
-                        sqsums[case][p] += float((d * d).sum())
-                done += n
+            results.update(oracle_mse(group, (0, 2, 5), rng, self.PATHS, self.GRID, 1.0,
+                                      self.CHUNK))
         failures = []
         for case in self.CASES:
             profile, indices = case
             pattern = IndexPattern.from_indices(indices)
             for p in (0, 2, 5):
-                emp = sums[case][p] / self.PATHS
-                var = max(sqsums[case][p] / self.PATHS - emp**2, 0.0)
-                se = math.sqrt(var / self.PATHS)
+                emp, se = results[specs[case], p]
                 exact = exact_error(profile, pattern, p, 1.0).value
                 # the left-point oracle carries Theta(1/N) discretization
                 # noise; the explicit allowance covers it (decisive only for

@@ -197,7 +197,14 @@ class TestSubcommands:
     def test_mse_paths_rejected(self, capsys):
         code, _ = run_cli("mse", "--spec", "00", "--i", "1,2", "--p", "0", "--paths", "0")
         assert code == 1
-        assert "paths must be at least 1, got 0" in capsys.readouterr().err
+        assert "paths must be at least 2, got 0" in capsys.readouterr().err
+
+    def test_mse_one_path_rejected(self, capsys):
+        # one path gives no standard error, so no z
+        code, out = run_cli("mse", "--spec", "00", "--i", "1,2", "--p", "0", "--paths", "1",
+                            "--grid", "64", "--seed", "1")
+        assert (code, out) == (1, "")
+        assert "paths must be at least 2, got 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", ["0", "-2"])
     def test_mse_grid_rejected(self, capsys, grid):
@@ -265,10 +272,33 @@ SEEDED_GOLDENS = [
      "slope 1.3987 stderr 0.0285 ci [1.3417, 1.4558]\n"),
 ]
 
+# stdout of seeded Monte Carlo validations: 25000 paths reduce in chunks of 20000
+# and 5000, 3000 paths in one chunk
+MSE_GOLDENS = [
+    (("mse", "--spec", "000", "--i", "1,2,3", "--p", "2", "--paths", "25000", "--grid", "64",
+      "--seed", "5"),
+     "> stochtaylor mse spec=000 i=1,2,3 p=2 step=1.0 paths=25000 grid=64 seed=5\n"
+     "exact 0.05024943311\n"
+     "empirical 0.0488339893\n"
+     "stderr 0.0007386\n"
+     "z -1.916\n"),
+    (("mse", "--spec", "10", "--i", "1,2", "--p", "5", "--paths", "3000", "--grid", "128",
+      "--seed", "3"),
+     "> stochtaylor mse spec=10 i=1,2 p=5 step=1.0 paths=3000 grid=128 seed=3\n"
+     "exact 0.007271477551\n"
+     "empirical 0.007333260379\n"
+     "stderr 0.0002212\n"
+     "z +0.279\n"),
+]
+
 
 class TestSeededGoldens:
     @pytest.mark.parametrize("argv,expected", SEEDED_GOLDENS,
                              ids=["gbm-milstein", "gbm-t15", "gbm-t20", "gbm-t25", "bilinear-milstein",
                                   "bilinear-t15", "bilinear-t25", "order-gbm-t15"])
     def test_stdout_byte_identical(self, argv, expected):
+        assert run_cli(*argv) == (0, expected)
+
+    @pytest.mark.parametrize("argv,expected", MSE_GOLDENS, ids=["two-chunks", "one-chunk"])
+    def test_mse_stdout_byte_identical(self, argv, expected):
         assert run_cli(*argv) == (0, expected)

@@ -20,6 +20,7 @@ from numpy.polynomial import hermite_e
 from stochtaylor import coefficients, sampling
 from stochtaylor.coefficients import WeightProfile, exact_norm, get_tensor, scaled_coefficient
 from stochtaylor.errors import IndexPattern, exact_error, normalized_error
+from stochtaylor.legendre import eval_phi
 from stochtaylor.planner import TruncationPlan, case_catalog, scheme_plan
 from stochtaylor.sampling import (
     GaussianPanel,
@@ -28,6 +29,7 @@ from stochtaylor.sampling import (
     discretization_oracle,
     enumerate_pair_partitions,
     make_panel,
+    oracle_mse,
     sample_ito,
     sample_stratonovich,
     stack_ito,
@@ -674,18 +676,76 @@ class TestDiscretizationOracle:
     def test_mse_matches_exact_error(self, profile, indices, pattern):
         rng = np.random.default_rng(hash((profile, indices)) & 0xFFFF)
         paths, N = 30000, 512
-        m = max(indices)
-        inc = wiener_increments(rng, m, N, 1.0, paths=paths)
         spec = IntegralSpec(profile, indices, 1.0)
-        oracle = discretization_oracle(spec, inc)
-        panel = zetas_from_increments(inc, 5, 1.0)
+        results = oracle_mse([spec], (0, 5), rng, paths, N, 1.0, chunk=paths)
         for p in (0, 5):
-            approx = sample_ito(spec, p, panel)
-            d = (oracle - approx) ** 2
-            emp, se = d.mean(), d.std() / math.sqrt(paths)
+            emp, se = results[spec, p]
             exact = exact_error(WeightProfile(profile), pattern, p, 1.0).value
             allowance = len(profile) ** 2 / N
             assert abs(emp - exact) <= 4 * se + allowance
+
+
+def _phi_table(p, N, T):
+    return np.array([[eval_phi(j, s, 0.0, T) for s in np.arange(N) * (T / N)]
+                     for j in range(p + 1)])
+
+
+class TestOracleMse:
+    SPECS = [IntegralSpec((0, 0), (1, 2), 0.8), IntegralSpec((1, 0), (2, 1), 0.8)]
+    CAPS = (0, 2, 5)
+
+    @staticmethod
+    def _whole_chunk_mse(specs, caps, rng, paths, grid, T, chunk):
+        sums, sqsums = {}, {}
+        for done in range(0, paths, chunk):
+            n = min(chunk, paths - done)
+            inc = rng.standard_normal((n, 2, grid)) * math.sqrt(T / grid)
+            panel = GaussianPanel(np.einsum("jn,pin->pij", _phi_table(max(caps), grid, T), inc))
+            for spec in specs:
+                oracle = discretization_oracle(spec, inc)
+                for p in caps:
+                    d = (oracle - sample_ito(spec, p, panel)) ** 2
+                    sums[spec, p] = sums.get((spec, p), 0.0) + float(d.sum())
+                    sqsums[spec, p] = sqsums.get((spec, p), 0.0) + float((d * d).sum())
+        means = {key: s / paths for key, s in sums.items()}
+        return {key: (mean, math.sqrt(max(sqsums[key] / paths - mean**2, 0.0) / paths))
+                for key, mean in means.items()}
+
+    @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64])
+    def test_equals_whole_chunk_loop(self, bit_generator):
+        # m = 2 at grid 2048 streams 512-path blocks: chunks of 700, 700 and 100
+        # paths end inside a block
+        got, expect = (run(self.SPECS, self.CAPS, np.random.Generator(bit_generator(17)),
+                           1500, 2048, 0.8, 700)
+                       for run in (oracle_mse, self._whole_chunk_mse))
+        assert len(got) == 6
+        assert got == expect
+
+    def test_traced_peak_is_block_sized(self):
+        # a chunk of 4000 paths at m = 3 and grid 2048 is 196 MB of increments;
+        # the validator holds one block of them
+        spec = IntegralSpec((0, 0, 0), (1, 2, 3), 1.0)
+        oracle_mse([spec], (0, 2), np.random.default_rng(1), 2, 2048, 1.0, 2)  # warm caches
+        tracemalloc.start()
+        try:
+            oracle_mse([spec], (0, 2), np.random.default_rng(2), 4000, 2048, 1.0, 4000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+
+    @pytest.mark.parametrize("paths", [1, 0, -3])
+    def test_rejects_fewer_than_two_paths(self, paths):
+        with pytest.raises(ValueError, match=f"paths must be at least 2, got {paths}"):
+            oracle_mse(self.SPECS, self.CAPS, np.random.default_rng(0), paths, 16, 0.8, 10)
+
+    def test_rejects_a_spec_of_another_step(self):
+        with pytest.raises(ValueError, match="every spec must span the step T_minus_t = 1.0"):
+            oracle_mse(self.SPECS, self.CAPS, np.random.default_rng(0), 4, 16, 1.0, 10)
+
+    @pytest.mark.parametrize("p,N,T", [(0, 2, 1.0), (5, 2048, 1.0), (9, 37, 0.3)])
+    def test_cached_basis_is_the_eval_phi_table(self, p, N, T):
+        assert np.array_equal(sampling._basis(p, N, T), _phi_table(p, N, T))
 
 
 class TestIncrementValidation:
