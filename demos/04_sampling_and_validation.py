@@ -32,7 +32,7 @@ print(f"Stratonovich - Ito = {strat - ito:.6f} (h/2 = 0.25)")
 # the oracle and the expansion read the same streamed Wiener paths.
 paths, grid = 40_000, 1024
 spec = IntegralSpec((0, 0, 0), (1, 2, 3), 1.0)
-results = oracle_mse([spec], (0, 2, 5), rng, paths, grid, 1.0, chunk=paths)
+results = oracle_mse([spec], (0, 2, 5), rng, paths, grid)
 print(f"\ntriple integral, {paths} paths, {grid}-point oracle:")
 for p in (0, 2, 5):
     emp, se = results[spec, p]

@@ -115,8 +115,7 @@ def _cmd_mse(args):
     pattern = errors.IndexPattern.from_indices(indices)
     exact = errors.exact_error(profile, pattern, args.p, args.step).value
     rng = np.random.Generator(np.random.Philox(args.seed))
-    mean, se = sampling.oracle_mse([spec], [args.p], rng, args.paths, args.grid, args.step,
-                                   chunk=20000)[spec, args.p]
+    mean, se = sampling.oracle_mse([spec], [args.p], rng, args.paths, args.grid)[spec, args.p]
     _echo_config(args, ["spec", "i", "p", "step", "paths", "grid", "seed"])
     print(f"exact {exact:.10g}")
     print(f"empirical {mean:.10g}")

@@ -12,9 +12,8 @@ of paths; a single draw is a batch of one.
 A discretization oracle evaluates the same integral as a left-point iterated
 Riemann sum over a fine Wiener path; drawing the expansion's Gaussians from
 the same increments puts both on one probability space, which is what makes
-small-sample mean-square comparisons meaningful.  One validator,
-``oracle_mse``, streams blocks of such paths through the oracle and the
-panel built on the same path and reduces the squared gaps.
+small-sample mean-square comparisons meaningful.  One validator, ``oracle_mse``,
+streams such paths through both in blocks and reduces the squared gaps.
 """
 
 from __future__ import annotations
@@ -391,39 +390,39 @@ def wiener_increments(rng: np.random.Generator, m: int, N: int, T_minus_t: float
         raise ValueError(f"need at least a 2-point grid, got N={N}")
     _check_draw(m, paths)
     check_step(T_minus_t)
-    return rng.standard_normal((paths, m, N)) * math.sqrt(T_minus_t / N)
+    out = rng.standard_normal((paths, m, N))
+    out *= math.sqrt(T_minus_t / N)
+    return out
 
 
-# Wiener increments per path block of the validator (16 MB)
+# validator: increments per path block (16 MB), paths per sum of squared gaps
 _PATH_BLOCK_ELEMENTS = 2**21
+_CHUNK_PATHS = 20_000
 
 
-def oracle_mse(specs, caps, rng: np.random.Generator, paths: int, grid: int,
-               T_minus_t: float, chunk: int):
+def oracle_mse(specs, caps, rng: np.random.Generator, paths: int, grid: int):
     """``{(spec, p): (mean, stderr)}`` of the squared gap between each spec's Ito
-    sum at each cap and its discretization oracle, all on one Wiener path of
-    m = the largest Wiener index components.
-
-    Paths are drawn in blocks of ``_PATH_BLOCK_ELEMENTS`` increments that continue
-    one stream of ``rng``; the gaps and their squares are summed once per ``chunk``
-    paths, so the chunk, not the block, fixes the rounding of the result.
-    """
+    sum at cap p and its discretization oracle on one Wiener path over the specs'
+    common step, drawn from one ``rng`` stream a block at a time and summed per
+    ``_CHUNK_PATHS`` paths; m is the largest Wiener index."""
     if paths < 2:
         raise ValueError(f"paths must be at least 2, got {paths}")
+    T_minus_t = specs[0].T_minus_t
     if any(spec.T_minus_t != T_minus_t for spec in specs):
-        raise ValueError(f"every spec must span the step T_minus_t = {T_minus_t}")
+        raise ValueError("every spec must span one step")
     m = max(max(spec.wiener_indices) for spec in specs)
     rows = max(1, _PATH_BLOCK_ELEMENTS // (m * max(grid, 2)))  # a bad grid fails the draw
     keys = [(spec, p) for spec in specs for p in caps]
-    d, sums = np.empty((len(keys), min(chunk, paths))), np.zeros((len(keys), 2))
-    for done in range(0, paths, chunk):
-        n = min(chunk, paths - done)
+    d, sums = np.empty((len(keys), min(_CHUNK_PATHS, paths))), np.zeros((len(keys), 2))
+    for done in range(0, paths, _CHUNK_PATHS):
+        n = min(_CHUNK_PATHS, paths - done)
         for a in range(0, n, rows):
             inc = wiener_increments(rng, m, grid, T_minus_t, min(rows, n - a))
             panel = zetas_from_increments(inc, max(caps), T_minus_t)
             oracles = {spec: discretization_oracle(spec, inc) for spec in specs}
             for row, (spec, p) in zip(d, keys):
                 row[a:a + len(inc)] = (oracles[spec] - sample_ito(spec, p, panel)) ** 2
+            del inc  # free this block before the next is drawn
         sums += [(row.sum(), (row * row).sum()) for row in d[:, :n]]
     moments = [(s / paths, sq / paths) for s, sq in sums.tolist()]
     return {key: (mean, math.sqrt(max(sq - mean**2, 0.0) / paths))

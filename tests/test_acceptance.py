@@ -396,7 +396,6 @@ class TestCriterion7:
     ]
     PATHS = 200_000
     GRID = 2048
-    CHUNK = 10_000
 
     def test_monte_carlo_validation(self):
         # cases sharing a noise dimension m share one seeded Wiener path
@@ -405,8 +404,7 @@ class TestCriterion7:
         for m in sorted({max(indices) for _, indices in self.CASES}):
             group = [spec for spec in specs.values() if max(spec.wiener_indices) == m]
             rng = np.random.Generator(np.random.Philox(2024))
-            results.update(oracle_mse(group, (0, 2, 5), rng, self.PATHS, self.GRID, 1.0,
-                                      self.CHUNK))
+            results.update(oracle_mse(group, (0, 2, 5), rng, self.PATHS, self.GRID))
         failures = []
         for case in self.CASES:
             profile, indices = case

@@ -677,7 +677,7 @@ class TestDiscretizationOracle:
         rng = np.random.default_rng(hash((profile, indices)) & 0xFFFF)
         paths, N = 30000, 512
         spec = IntegralSpec(profile, indices, 1.0)
-        results = oracle_mse([spec], (0, 5), rng, paths, N, 1.0, chunk=paths)
+        results = oracle_mse([spec], (0, 5), rng, paths, N)
         for p in (0, 5):
             emp, se = results[spec, p]
             exact = exact_error(WeightProfile(profile), pattern, p, 1.0).value
@@ -695,7 +695,8 @@ class TestOracleMse:
     CAPS = (0, 2, 5)
 
     @staticmethod
-    def _whole_chunk_mse(specs, caps, rng, paths, grid, T, chunk):
+    def _whole_chunk_mse(specs, caps, rng, paths, grid):
+        T, chunk = specs[0].T_minus_t, sampling._CHUNK_PATHS
         sums, sqsums = {}, {}
         for done in range(0, paths, chunk):
             n = min(chunk, paths - done)
@@ -713,22 +714,22 @@ class TestOracleMse:
 
     @pytest.mark.parametrize("bit_generator", [np.random.Philox, np.random.PCG64])
     def test_equals_whole_chunk_loop(self, bit_generator):
-        # m = 2 at grid 2048 streams 512-path blocks: chunks of 700, 700 and 100
-        # paths end inside a block
+        # m = 2 at grid 64 streams 16384-path blocks: chunks of 20000 and 5000
+        # paths, the first ending inside its second block
         got, expect = (run(self.SPECS, self.CAPS, np.random.Generator(bit_generator(17)),
-                           1500, 2048, 0.8, 700)
+                           25_000, 64)
                        for run in (oracle_mse, self._whole_chunk_mse))
         assert len(got) == 6
         assert got == expect
 
     def test_traced_peak_is_block_sized(self):
         # a chunk of 4000 paths at m = 3 and grid 2048 is 196 MB of increments;
-        # the validator holds one block of them
+        # the validator holds one 16 MB block of them
         spec = IntegralSpec((0, 0, 0), (1, 2, 3), 1.0)
-        oracle_mse([spec], (0, 2), np.random.default_rng(1), 2, 2048, 1.0, 2)  # warm caches
+        oracle_mse([spec], (0, 2), np.random.default_rng(1), 2, 2048)  # warm caches
         tracemalloc.start()
         try:
-            oracle_mse([spec], (0, 2), np.random.default_rng(2), 4000, 2048, 1.0, 4000)
+            oracle_mse([spec], (0, 2), np.random.default_rng(2), 4000, 2048)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -737,11 +738,12 @@ class TestOracleMse:
     @pytest.mark.parametrize("paths", [1, 0, -3])
     def test_rejects_fewer_than_two_paths(self, paths):
         with pytest.raises(ValueError, match=f"paths must be at least 2, got {paths}"):
-            oracle_mse(self.SPECS, self.CAPS, np.random.default_rng(0), paths, 16, 0.8, 10)
+            oracle_mse(self.SPECS, self.CAPS, np.random.default_rng(0), paths, 16)
 
     def test_rejects_a_spec_of_another_step(self):
-        with pytest.raises(ValueError, match="every spec must span the step T_minus_t = 1.0"):
-            oracle_mse(self.SPECS, self.CAPS, np.random.default_rng(0), 4, 16, 1.0, 10)
+        specs = self.SPECS + [IntegralSpec((0, 0), (1, 2), 1.0)]
+        with pytest.raises(ValueError, match="every spec must span one step"):
+            oracle_mse(specs, self.CAPS, np.random.default_rng(0), 4, 16)
 
     @pytest.mark.parametrize("p,N,T", [(0, 2, 1.0), (5, 2048, 1.0), (9, 37, 0.3)])
     def test_cached_basis_is_the_eval_phi_table(self, p, N, T):
