@@ -147,9 +147,8 @@ def _cmd_order(args):
     problem = _get_problem(args.problem)
     steps = [float(s) for s in args.steps.split(",")]
     x0 = [args.x0] * problem.n
-    ref = "exact" if problem.exact_solution is not None else "fine"
     est = schemes.estimate_strong_order(problem, args.scheme, steps, args.paths,
-                                        x0, args.T, seed=args.seed, reference=ref)
+                                        x0, args.T, seed=args.seed)
     _echo_config(args, ["scheme", "problem", "steps", "paths", "T", "seed"])
     for h, e in zip(est.steps, est.errors):
         print(f"h {h:.8g} error {e:.8g}")

@@ -33,6 +33,7 @@ __all__ = [
     "scaled_coefficient",
     "check_step",
     "check_cap",
+    "as_int",
     "accurate_sum",
     "exact_norm",
     "build_tensor",
@@ -49,7 +50,7 @@ class WeightProfile(tuple):
     """Weight exponents (l_1 .. l_k) of one iterated integral, 1 <= k <= 6."""
 
     def __new__(cls, exponents):
-        exps = tuple(int(l) for l in exponents)
+        exps = tuple(as_int(l, "weight exponents") for l in exponents)
         if not 1 <= len(exps) <= MAX_MULTIPLICITY:
             raise ValueError(f"multiplicity must be 1..{MAX_MULTIPLICITY}, got {len(exps)}")
         if any(l < 0 for l in exps):
@@ -169,6 +170,14 @@ def check_step(T_minus_t) -> None:
     """Reject a step length ``T - t`` that is not a positive finite number."""
     if not (math.isfinite(T_minus_t) and T_minus_t > 0):
         raise ValueError(f"T_minus_t must be positive and finite, got {T_minus_t!r}")
+
+
+def as_int(value, what: str) -> int:
+    """``value`` as an int; one with a fractional part is rejected, not truncated."""
+    n = int(value)
+    if n != value:
+        raise ValueError(f"{what} must be integers, got {value!r}")
+    return n
 
 
 def check_cap(p: int) -> None:
@@ -350,12 +359,9 @@ def get_tensor(profile, p: int) -> CoeffTensor:
 
 
 def clear_caches() -> None:
-    """Drop all memoized prefix polynomials, tensors and errors."""
-    from .errors import _norm_err_cache  # errors imports this module
-
+    """Drop all memoized prefix polynomials, tensors and exact Parseval sums."""
     with _cache_lock:
         _prefix_cache.clear()
     with _tensor_lock:
         _tensor_cache.clear()
         _sq_sum_cache.clear()
-    _norm_err_cache.clear()

@@ -20,7 +20,8 @@ from typing import Iterator, Tuple
 
 import numpy as np
 
-from .coefficients import WeightProfile, accurate_sum, check_cap, check_step, exact_norm, get_tensor
+from .coefficients import (WeightProfile, accurate_sum, as_int, check_cap, check_step, exact_norm,
+                           get_tensor)
 
 __all__ = [
     "IndexPattern",
@@ -54,7 +55,7 @@ class IndexPattern:
 
     @classmethod
     def from_indices(cls, indices) -> "IndexPattern":
-        indices = tuple(int(i) for i in indices)
+        indices = tuple(as_int(i, "Wiener component indices") for i in indices)
         if any(i < 1 for i in indices):
             raise ValueError("Wiener component indices must be >= 1 (no time components)")
         groups: dict[int, list[int]] = {}
@@ -131,18 +132,11 @@ class ErrorResult:
         return self.value / self.T_minus_t**self.profile.norm_exponent
 
 
-_norm_err_cache: dict[tuple, float] = {}
-
-
 def normalized_error(profile, pattern: IndexPattern, p: int) -> float:
     """Truncation error at T - t = 1, normalization of the error tables."""
     profile = WeightProfile(profile)
     if pattern.k != profile.k:
         raise ValueError(f"pattern multiplicity {pattern.k} != profile {profile.k}")
-    key = (profile, pattern.blocks, p)
-    cached = _norm_err_cache.get(key)
-    if cached is not None:
-        return cached
     tensor = get_tensor(profile, p)
     arr = tensor.scaled_array()[(slice(0, p + 1),) * profile.k]
     total = 0.0
@@ -153,9 +147,7 @@ def normalized_error(profile, pattern: IndexPattern, p: int) -> float:
         raise ArithmeticError(
             f"negative truncation error {raw} for {profile} {pattern}; coefficient bug"
         )
-    value = max(raw, 0.0)
-    _norm_err_cache[key] = value
-    return value
+    return max(raw, 0.0)
 
 
 def exact_error(profile, pattern: IndexPattern, p: int, T_minus_t: float) -> ErrorResult:

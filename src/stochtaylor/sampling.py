@@ -25,7 +25,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .coefficients import WeightProfile, check_cap, check_step, get_tensor
+from .coefficients import WeightProfile, as_int, check_cap, check_step, get_tensor
 from .errors import IndexPattern
 from .legendre import eval_phi
 
@@ -99,7 +99,7 @@ class IntegralSpec:
 
     def __init__(self, profile, wiener_indices, T_minus_t):
         profile = WeightProfile(profile)
-        idx = tuple(int(i) for i in wiener_indices)
+        idx = tuple(as_int(i, "Wiener component indices") for i in wiener_indices)
         if len(idx) != profile.k:
             raise ValueError("wiener_indices length must equal multiplicity")
         if any(i < 1 for i in idx):
@@ -407,6 +407,9 @@ def oracle_mse(specs, caps, rng: np.random.Generator, paths: int, grid: int):
     ``_CHUNK_PATHS`` paths; m is the largest Wiener index."""
     if paths < 2:
         raise ValueError(f"paths must be at least 2, got {paths}")
+    for name, arg in (("specs", specs), ("caps", caps)):
+        if len(arg) == 0:
+            raise ValueError(f"{name} must not be empty, got {arg!r}")
     T_minus_t = specs[0].T_minus_t
     if any(spec.T_minus_t != T_minus_t for spec in specs):
         raise ValueError("every spec must span one step")

@@ -243,37 +243,30 @@ class OrderEstimate:
 
 
 def estimate_strong_order(problem: SdeProblem, scheme: str, steps, paths: int,
-                          x0, T: float, seed: int = 0, reference: str = "exact",
-                          fine_factor: int = 64) -> OrderEstimate:
+                          x0, T: float, seed: int = 0, reference: str = "exact"
+                          ) -> OrderEstimate:
     """Least-squares slope of log mean absolute endpoint error against log h.
 
-    ``reference="exact"`` couples each run to the problem's exact solution
-    through the accumulated Wiener endpoint; ``reference="fine"`` compares
-    against the same scheme at ``h / fine_factor`` run on independent noise.
-    The fine reference therefore does not measure strong error: on
-    ``bilinear`` it measures the spread between two independent solutions
-    (Milstein, 2000 paths, h = 2^-2..2^-4: errors 1.29 to 1.33, slope
-    -0.02).  A path-coupled reference is an open ROADMAP item.
+    Each run is coupled to the problem's exact solution through the
+    accumulated Wiener endpoint, so the error is measured on one Brownian
+    path.  ``"exact"`` is the only reference, and a problem without an exact
+    solution is rejected: a fine-step reference on the same path is ROADMAP
+    item 4.
     """
     steps = [float(h) for h in steps]
     if len(set(steps)) < 3:
         raise ValueError(f"order regression needs at least 3 distinct step sizes, got {steps}")
     grid = [grid_steps(T, h) for h in steps]
-    if reference not in ("exact", "fine"):
-        raise ValueError(f"reference must be 'exact' or 'fine', got {reference!r}")
-    if reference == "exact" and problem.exact_solution is None:
-        raise ValueError("problem has no exact solution; use reference='fine'")
-    if reference == "fine" and fine_factor < 1:
-        raise ValueError(f"fine_factor must be at least 1, got {fine_factor}")
+    if reference != "exact":
+        raise ValueError(f"reference must be 'exact', got {reference!r}")
+    if problem.exact_solution is None:
+        raise ValueError("problem has no exact solution; a strong-order reference on the "
+                         "same Brownian path is ROADMAP item 4")
+    x0 = np.asarray(x0, dtype=np.float64)
     errors = []
     for i, (h, n_steps) in enumerate(zip(steps, grid)):
         xT, WT = integrate_batch(problem, scheme, x0, T, n_steps, paths, seed + 1000 * i)
-        if reference == "exact":
-            ref = problem.exact_solution(np.asarray(x0, dtype=np.float64), T, WT)
-        else:
-            ref, _ = integrate_batch(problem, scheme, x0, T, n_steps * fine_factor,
-                                     paths, seed + 7777 + 1000 * i)
-        err = float(np.abs(xT - ref).sum(axis=1).mean())
+        err = float(np.abs(xT - problem.exact_solution(x0, T, WT)).sum(axis=1).mean())
         if not (err > 0 and math.isfinite(err)):
             raise ValueError(f"strong error at step h = {h} is {err}; the order "
                              f"regression needs positive finite errors")

@@ -176,11 +176,13 @@ class TestSubcommands:
         (("integrate", "--paths", "-3"), "at least 1, got -3 and 2"),
         (("order", "--steps", "0,0.5,0.25"), "positive and finite, got 0.0"),
         (("order", "--steps", "0.5,0.5,0.5"), "at least 3 distinct step sizes"),
+        (("order", "--problem", "bilinear", "--steps", "0.25,0.125,0.0625"), "no exact solution"),
     ])
     def test_run_rejected(self, argv, message, capsys):
         flags = ["--h", "0.5", "--T", "1"] if argv[0] == "integrate" else ["--paths", "10"]
         code, out = run_cli(*argv, "--scheme", "milstein", *flags)
         assert code == 1
+        assert out == ""
         assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv,message", [

@@ -93,6 +93,12 @@ class TestBarCoefficient:
         with pytest.raises(ValueError):
             WeightProfile((-1,))
 
+    def test_fractional_weights_rejected(self):
+        with pytest.raises(ValueError, match="weight exponents must be integers, got 0.5"):
+            WeightProfile((0.5, 1.9))
+        profile = WeightProfile((np.int64(1), 2.0, 0))
+        assert profile == (1, 2, 0) and all(type(l) is int for l in profile)
+
 
 class TestScaling:
     def test_triple_leading(self):

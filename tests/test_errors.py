@@ -13,7 +13,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from stochtaylor import coefficients, errors
+from stochtaylor import coefficients
 from stochtaylor.coefficients import (
     bar_coefficient,
     clear_caches,
@@ -342,6 +342,11 @@ class TestStructure:
         with pytest.raises(ValueError):
             IndexPattern.from_indices((0, 1))
 
+    def test_fractional_indices_rejected(self):
+        with pytest.raises(ValueError, match="Wiener component indices must be integers, got 1.2"):
+            IndexPattern.from_indices([1.2, 1.9])
+        assert IndexPattern.from_indices([np.int64(1), 2.0]) == IndexPattern.distinct(2)
+
     def test_pattern_construction(self):
         pat = IndexPattern.from_indices((3, 1, 3, 2, 1))
         assert set(pat.blocks) == {(1, 3), (2, 5), (4,)}
@@ -368,19 +373,19 @@ class TestStructure:
         # private empty caches, so clearing them leaves the rest of the suite warm
         for name in ("_prefix_cache", "_tensor_cache", "_sq_sum_cache"):
             monkeypatch.setattr(coefficients, name, {})
-        monkeypatch.setattr(errors, "_norm_err_cache", {})
         profile, pattern = (0, 1, 0), IndexPattern.distinct(3)
         first = normalized_error(profile, pattern, 2)
         parseval_defect(profile, 2)
         builds = []
+        build_tensor = coefficients.build_tensor
 
-        def counting_get_tensor(prof, p):
+        def counting_build_tensor(prof, p):
             builds.append((prof, p))
-            return get_tensor(prof, p)
+            return build_tensor(prof, p)
 
-        monkeypatch.setattr(errors, "get_tensor", counting_get_tensor)
+        monkeypatch.setattr(coefficients, "build_tensor", counting_build_tensor)
         assert normalized_error(profile, pattern, 2) == first
-        assert builds == []  # warm: served from the error cache
+        assert builds == []  # warm: served from the tensor cache
         clear_caches()
         assert coefficients._sq_sum_cache == {}
         assert normalized_error(profile, pattern, 2) == first

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from stochtaylor import coefficients, errors
+from stochtaylor import coefficients
 from stochtaylor.coefficients import get_tensor
 from stochtaylor.errors import IndexPattern, error_bound_kfact, exact_error, normalized_error
 from stochtaylor.planner import (
@@ -92,7 +92,6 @@ class TestMinimalOrder:
         # of the suite warm
         for name in ("_prefix_cache", "_tensor_cache"):
             monkeypatch.setattr(coefficients, name, {})
-        monkeypatch.setattr(errors, "_norm_err_cache", {})
         calls = []
         moment_dot = coefficients._moment_dot
 
@@ -105,6 +104,10 @@ class TestMinimalOrder:
         assert minimal_order(profile, IndexPattern.distinct(k), Condition(exp), h) == q
         assert coefficients._tensor_cache[profile].p == q
         assert len(calls) == (q + 1) ** k
+
+    def test_fractional_weights_rejected(self):
+        with pytest.raises(ValueError, match="weight exponents must be integers, got 0.9"):
+            minimal_order((0.9, 0, 0), IndexPattern.distinct(3), Condition(4), 0.011)
 
     def test_cap_guard(self):
         with pytest.raises(PlannerCapError):

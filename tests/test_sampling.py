@@ -333,6 +333,11 @@ class TestSampleIto:
         with pytest.raises(ValueError, match="nan"):
             IntegralSpec((0, 0), (1, 1), float("nan"))
 
+    def test_fractional_indices_rejected(self):
+        with pytest.raises(ValueError, match="Wiener component indices must be integers, got 1.5"):
+            IntegralSpec((0, 0), (1.5, 2.7), 1.0)
+        assert IntegralSpec((0, 0), (np.int64(1), 2.0), 1.0).wiener_indices == (1, 2)
+
 
 class TestStratonovich:
     def test_equals_ito_for_distinct(self):
@@ -740,6 +745,13 @@ class TestOracleMse:
         with pytest.raises(ValueError, match=f"paths must be at least 2, got {paths}"):
             oracle_mse(self.SPECS, self.CAPS, np.random.default_rng(0), paths, 16)
 
+    def test_rejects_empty_specs_or_caps(self):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ValueError, match="specs must not be empty"):
+            oracle_mse([], [0], rng, 10, 64)
+        with pytest.raises(ValueError, match="caps must not be empty"):
+            oracle_mse(self.SPECS, [], rng, 10, 64)
+
     def test_rejects_a_spec_of_another_step(self):
         specs = self.SPECS + [IntegralSpec((0, 0), (1, 2), 1.0)]
         with pytest.raises(ValueError, match="every spec must span one step"):
@@ -872,15 +884,25 @@ class TestStatistics:
         # sample variance approaches the kernel norm from below; the deficit
         # at cap 50 is exactly 1/404 for the all-zero-weight pair (the exact
         # rational identity is covered in the Parseval tests; here the
-        # sampler's variance is checked against the deficient target)
+        # sampler's variance is checked against the deficient target).  The
+        # paths are drawn a block at a time from one stream, whose blocks join
+        # into the one-shot draw
+        whole = make_panel(np.random.default_rng(15), 2, 50, paths=8).data
         rng = np.random.default_rng(15)
-        paths = 1_000_000
-        panel = make_panel(rng, 2, 50, paths=paths)
+        parts = [make_panel(rng, 2, 50, paths=n).data for n in (3, 5)]
+        assert np.array_equal(np.concatenate(parts), whole)
+        rng = np.random.default_rng(15)
+        paths, block = 1_000_000, 2**14
         spec = IntegralSpec((0, 0), (1, 2), 1.0)
-        vals = sample_ito(spec, 50, panel)
+        sums = np.zeros(3)  # sums of v, v^2 and v^4
+        for start in range(0, paths, block):
+            panel = make_panel(rng, 2, 50, paths=min(block, paths - start))
+            vals = sample_ito(spec, 50, panel)
+            sums += [vals.sum(), (vals**2).sum(), (vals**4).sum()]
+        m1, m2, m4 = sums / paths
         target = 0.5 - 1.0 / 404.0
-        var = vals.var()
-        se = (vals**2).std() / math.sqrt(paths)
+        var = m2 - m1**2
+        se = math.sqrt((m4 - m2**2) / paths)
         assert abs(var - target) <= 4 * se
 
 

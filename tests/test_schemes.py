@@ -499,10 +499,8 @@ class TestStrongOrder:
 
     @pytest.mark.parametrize("problem,kwargs,message", [
         (bilinear_problem, {}, "problem has no exact solution"),
-        (gbm_problem, {"reference": "coarse"},
-         "reference must be 'exact' or 'fine', got 'coarse'"),
-        (gbm_problem, {"reference": "fine", "fine_factor": 0},
-         "fine_factor must be at least 1, got 0"),
+        (gbm_problem, {"reference": "coarse"}, "reference must be 'exact', got 'coarse'"),
+        (gbm_problem, {"reference": "fine"}, "reference must be 'exact', got 'fine'"),
     ])
     def test_bad_reference_fails_before_integrating(self, problem, kwargs, message, monkeypatch):
         calls = []
@@ -517,14 +515,6 @@ class TestStrongOrder:
         # x0 = 0 stays at 0 on every path, so the error is 0 and log 0 is undefined
         with pytest.raises(ValueError, match=r"strong error at step h = 0.5 is 0.0"):
             estimate_strong_order(gbm_problem(), "t15", [0.5, 0.25, 0.125], 10, [0.0], 1.0)
-
-    def test_fine_reference_runs(self):
-        prob = bilinear_problem()
-        est = estimate_strong_order(prob, "milstein", [0.25, 0.125, 0.0625], 200,
-                                    [1.0, 1.0], 0.5, seed=2, reference="fine",
-                                    fine_factor=8)
-        assert len(est.errors) == 3
-        assert all(e > 0 for e in est.errors)
 
     def test_milstein_order_smoke(self):
         prob = gbm_problem()
