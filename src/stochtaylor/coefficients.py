@@ -24,7 +24,7 @@ from typing import Dict, Iterator, Tuple
 
 import numpy as np
 
-from .legendre import shifted_legendre
+from .legendre import MAX_DEGREE, shifted_legendre
 
 __all__ = [
     "WeightProfile",
@@ -290,11 +290,16 @@ def build_tensor(profile, p: int) -> CoeffTensor:
     Deterministic.  The cached tensor of the profile, when its cap is at most
     ``p``, is extended over the new shells max(j) = q only: its exact values
     and float entries are copied, and each new entry is computed once.
-    Raises ``ValueError`` when the box would exceed ``ENTRY_CEILING`` entries.
+    Raises ``ValueError`` when the box would exceed ``ENTRY_CEILING`` entries,
+    or for k >= 2 when ``p`` exceeds the Legendre degree ceiling ``MAX_DEGREE``
+    (the inner variables' polynomials need degree ``p``; k = 1 has none).
     """
     profile = _profile(profile)
     check_cap(p)
     k, L = profile.k, profile.total_weight
+    if k >= 2 and p > MAX_DEGREE:
+        raise ValueError(f"cap p={p} above the Legendre degree ceiling {MAX_DEGREE} "
+                         f"for multiplicity {k}")
     n_entries = (p + 1) ** k
     if n_entries > ENTRY_CEILING:
         raise ValueError(f"box {(p + 1)}^{k} = {n_entries} entries exceeds ceiling {ENTRY_CEILING}")

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Tuple
 
 from .coefficients import WeightProfile, check_step
-from .errors import IndexPattern, error_bound_kfact, normalized_error
+from .errors import IndexPattern, normalized_error
 from .legendre import MAX_DEGREE
 
 __all__ = [
@@ -60,83 +60,72 @@ class Condition:
         if not (math.isfinite(self.constant) and self.constant > 0):
             raise ValueError(f"constant must be positive and finite, got {self.constant!r}")
 
-    def threshold(self, T_minus_t: float) -> float:
-        return self.constant * T_minus_t**self.exponent
+    def threshold(self, T_minus_t: float) -> Fraction:
+        """Exact ``C (T-t)^exponent``, the step read as its exact binary value."""
+        return Fraction(self.constant) * Fraction(T_minus_t) ** self.exponent
 
     def admits(self, value, threshold) -> bool:
         """``value < threshold`` if strict, else ``value <= threshold``: the one
         test every cap search makes."""
         return value < threshold if self.strict else value <= threshold
 
-    def holds(self, error: float, T_minus_t: float) -> bool:
-        return self.admits(error, self.threshold(T_minus_t))
-
 
 class PlannerCapError(RuntimeError):
     """Search exceeded the configured cap without satisfying the condition."""
 
 
-def _minimal_order_pair_closed_form(condition: Condition, T_minus_t: float) -> int:
-    """Closed-form search for the (0,0) distinct case, exact at boundaries."""
-    h = Fraction(T_minus_t)
-    thr = Fraction(condition.constant) * h**condition.exponent / h**2
-
-    def ok(p):
-        # Parseval defect of the all-zero-weight pair integral: telescoped sum
-        return condition.admits(Fraction(1, 4 * (2 * p + 1)), thr)
-
-    # defect(p) = 1/(4(2p+1)) <= thr  <=>  2p+1 >= 1/(4 thr); jump close,
-    # then settle the boundary with exact rational comparisons
-    p = max(0, int((1 / (4 * float(thr)) - 1) / 2) - 1)
-    while not ok(p):
-        p += 1
-    while p > 0 and ok(p - 1):
-        p -= 1
-    return p
+def _normalized_threshold(condition: Condition, profile: WeightProfile,
+                          T_minus_t: float) -> Fraction:
+    """The bound on the error at T - t = 1: ``C (T-t)^exponent / (T-t)^norm_exponent``."""
+    check_step(T_minus_t)
+    return condition.threshold(T_minus_t) / Fraction(T_minus_t) ** profile.norm_exponent
 
 
-def _ascend(profile: WeightProfile, search_cap: int | None, ok, goal: str) -> int:
-    """First cap ``p = 0, 1, ...`` with ``ok(p)``; each probe grows the
-    profile's tensor by at most one shell.  The cap never exceeds the
-    Legendre degree ceiling ``MAX_DEGREE``."""
+def _first_cap(profile: WeightProfile, pattern: IndexPattern, condition: Condition,
+               thr: Fraction, search_cap: int | None, goal: str) -> int:
+    """First cap ``p`` whose normalized error ``condition`` admits against ``thr``.
+
+    The distinct (0,0) error is the Parseval defect 1/(4(2p+1)), solved in
+    integers with no degree ceiling.  Every other case ascends p = 0, 1, ...,
+    each probe growing the profile's tensor by at most one shell, up to the
+    Legendre degree ceiling ``MAX_DEGREE``; the error decreases in p, so the
+    first hit is minimal.
+    """
+    if pattern.k != profile.k:
+        raise ValueError(f"pattern multiplicity {pattern.k} != profile {profile.k}")
+    if profile == (0, 0) and pattern.is_distinct:
+        # 1/(4(2p+1)) <= thr  <=>  2p+1 >= 1/(4 thr); a strict tie needs one more
+        p = max(0, math.ceil((1 / (4 * thr) - 1) / 2))
+        return p if condition.admits(Fraction(1, 4 * (2 * p + 1)), thr) else p + 1
     if search_cap is None:
         search_cap = MAX_DEGREE if profile.k <= 2 else DEFAULT_CAP_HIGH
     cap = min(search_cap, MAX_DEGREE)
     for p in range(cap + 1):
-        if ok(p):
+        if condition.admits(normalized_error(profile, pattern, p), thr):
             return p
     raise PlannerCapError(f"no cap <= {cap} satisfies {goal}")
 
 
 def minimal_order(profile, pattern: IndexPattern, condition: Condition,
                   T_minus_t: float, search_cap: int | None = None) -> int:
-    """Smallest cap ``p >= 0`` satisfying ``condition`` for this integral.
-
-    Ascends from p = 0, growing the coefficient tensor incrementally;
-    monotonicity of the error makes the first hit minimal.
-    """
+    """Smallest cap ``p >= 0`` satisfying ``condition`` for this integral."""
     profile = WeightProfile(profile)
-    check_step(T_minus_t)
-    if profile == (0, 0) and pattern.is_distinct:
-        return _minimal_order_pair_closed_form(condition, T_minus_t)
-    norm_threshold = condition.threshold(T_minus_t) / T_minus_t**profile.norm_exponent
-
-    def ok(p):
-        return condition.admits(normalized_error(profile, pattern, p), norm_threshold)
-
-    return _ascend(profile, search_cap, ok,
-                   f"E <= {condition.constant}*(T-t)^{condition.exponent} "
-                   f"for profile {profile}, step {T_minus_t}")
+    thr = _normalized_threshold(condition, profile, T_minus_t)
+    return _first_cap(profile, pattern, condition, thr, search_cap,
+                      f"E <= {condition.constant}*(T-t)^{condition.exponent} "
+                      f"for profile {profile}, step {T_minus_t}")
 
 
 def minimal_order_kfact(profile, condition: Condition, T_minus_t: float) -> int:
-    """Smallest cap under the factorial bound ``k!(I_k - sum C^2) <= thr``."""
+    """Smallest cap under the factorial bound ``k!(I_k - sum C^2) <= thr``.
+
+    The bound is k! times the distinct-pattern error, so this is the distinct
+    search against ``thr / k!``.
+    """
     profile = WeightProfile(profile)
-
-    def ok(p):
-        return condition.holds(error_bound_kfact(profile, p, T_minus_t), T_minus_t)
-
-    return _ascend(profile, None, ok, f"the factorial bound for {profile}, step {T_minus_t}")
+    thr = _normalized_threshold(condition, profile, T_minus_t) / math.factorial(profile.k)
+    return _first_cap(profile, IndexPattern.distinct(profile.k), condition, thr, None,
+                      f"the factorial bound for {profile}, step {T_minus_t}")
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +303,15 @@ def check_hypothesis(profile, condition: Condition, T_minus_t: float) -> Hypothe
         raise ValueError(f"no published cases for profile {tuple(profile)}; "
                          f"multiplicity {k} supports {listed}")
     distinct_q = minimal_order(profile, IndexPattern.distinct(k), condition, T_minus_t)
+    thr = _normalized_threshold(condition, profile, T_minus_t)
     results = []
     for label, _, pattern in _published_cases(k, letter, profile):
         if pattern.is_distinct:
             continue
         q = minimal_order(profile, pattern, condition, T_minus_t)
-        err = normalized_error(profile, pattern, distinct_q) * T_minus_t**profile.norm_exponent
-        exceeds = not condition.holds(err, T_minus_t)
-        results.append(CaseResult(label, pattern, q, err, exceeds))
+        norm = normalized_error(profile, pattern, distinct_q)
+        err = norm * T_minus_t**profile.norm_exponent
+        results.append(CaseResult(label, pattern, q, err, not condition.admits(norm, thr)))
     return HypothesisReport(profile, condition, T_minus_t, distinct_q, tuple(results))
 
 

@@ -191,6 +191,10 @@ class TestSubcommands:
          "x0 must be n = 2 finite values, got [nan, nan]"),
         (("order", "--scheme", "t15", "--problem", "gbm", "--steps", "0.5,0.25,0.125",
           "--paths", "10", "--x0", "0"), "strong error at step h = 0.5 is 0.0"),
+        (("truncate", "--weights", "00", "--pattern", "1,2,3", "--step", "0.1",
+          "--order-exp", "4"), "pattern multiplicity 3 != profile 2"),
+        (("error", "--weights", "0,0,0", "--p", "300", "--step", "1"),
+         "above the Legendre degree ceiling 200"),
     ])
     def test_degenerate_start_rejected(self, argv, message, capsys):
         assert run_cli(*argv) == (1, "")

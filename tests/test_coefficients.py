@@ -36,8 +36,8 @@ def quadrature_bar(exponents, j):
 
     def rec(m, upper):
         # integral over x_m in [-1, u] of factor * rec(m-1, x_m), for every
-        # entry u of ``upper``; split so no array exceeds 40^4 entries
-        if upper.size > 40**3:
+        # entry u of ``upper``; split so no array exceeds 40^3 entries
+        if upper.size > 40**2:
             return np.stack([rec(m, u) for u in upper])
         u = upper[..., None]
         x = 0.5 * (u + 1.0) * nodes + 0.5 * (u - 1.0)
@@ -190,9 +190,15 @@ class TestTensor:
         t = build_tensor((0,) * 5, 0)
         assert t[(0,) * 5] == Fraction(4, 15)
 
-    def test_entry_ceiling(self):
+    def test_entry_ceiling(self, monkeypatch):
         with pytest.raises(ValueError):
             build_tensor((0,) * 5, 40)  # 41^5 entries, above the 10^8 ceiling
+        # a cap above the degree ceiling fails before any entry is computed
+        calls = []
+        monkeypatch.setattr(coefficients, "_moment_dot", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="Legendre degree ceiling 200"):
+            build_tensor((0, 0, 0), 300)
+        assert calls == []
 
     def test_scaled_array_matches_scalar_path(self):
         t = get_tensor((0, 1), 3)

@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,9 +29,11 @@ class TestCondition:
         with pytest.raises(ValueError, match="nan"):
             Condition(4, float("nan"))
         c = Condition(4)
-        assert c.holds(0.0624, 0.5)
-        assert c.holds(0.0625, 0.5)  # boundary, non-strict
-        assert not Condition(4, strict=True).holds(0.0625, 0.5)
+        assert c.threshold(0.5) == Fraction(1, 16)
+        assert c.admits(0.0624, c.threshold(0.5))
+        assert c.admits(0.0625, c.threshold(0.5))  # boundary, non-strict
+        strict = Condition(4, strict=True)
+        assert not strict.admits(0.0625, strict.threshold(0.5))
 
 
 class TestMinimalOrder:
@@ -152,6 +155,19 @@ class TestMinimalOrder:
         tie = error_bound_kfact((0, 0, 0), 2, 1.0)
         assert minimal_order_kfact((0, 0, 0), Condition(4, tie), 1.0) == 2
         assert minimal_order_kfact((0, 0, 0), Condition(4, tie, strict=True), 1.0) == 3
+        # factorial bound 2 * 1/4 at cap 0 against threshold 1/2
+        assert minimal_order_kfact((0, 0), Condition(3, 0.5), 1.0) == 0
+        assert minimal_order_kfact((0, 0), Condition(3, 0.5, strict=True), 1.0) == 1
+
+    @pytest.mark.parametrize("strict", [False, True])
+    @pytest.mark.parametrize("h", [1e-160, 1e-300])
+    def test_pair_cap_at_tiny_steps(self, h, strict):
+        # the thresholds underflow in floats; the cap is decided on exact rationals
+        cond = Condition(4, strict=strict)
+        q = minimal_order((0, 0), IndexPattern.distinct(2), cond, h)
+        thr = cond.threshold(h) / Fraction(h) ** 2
+        assert cond.admits(Fraction(1, 4 * (2 * q + 1)), thr)
+        assert not cond.admits(Fraction(1, 4 * (2 * q - 1)), thr)
 
     def test_kfact_order_dominates(self):
         cond = Condition(4)
@@ -322,6 +338,7 @@ class TestTables:
             case = label[2:-1]
             profile, pattern = case_pattern(case)
             for h, q in zip([0.010, 0.005, 0.0025], row):
-                assert cond.holds(exact_error(profile, pattern, q, h).value, h)
+                thr = cond.threshold(h)
+                assert cond.admits(exact_error(profile, pattern, q, h).value, thr)
                 if q > 0:
-                    assert not cond.holds(exact_error(profile, pattern, q - 1, h).value, h)
+                    assert not cond.admits(exact_error(profile, pattern, q - 1, h).value, thr)
