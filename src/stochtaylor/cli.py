@@ -131,7 +131,7 @@ def _cmd_integrate(args):
     x0 = [args.x0] * problem.n
     xT, WT = schemes.integrate_batch(problem, args.scheme, x0, args.T, n_steps,
                                      args.paths, args.seed)
-    _echo_config(args, ["scheme", "problem", "h", "T", "paths", "seed"])
+    _echo_config(args, ["scheme", "problem", "h", "T", "x0", "paths", "seed"])
     mean = xT.mean(axis=0)
     std = xT.std(axis=0)
     print("final_mean " + " ".join(f"{v:.8g}" for v in mean))
@@ -149,7 +149,7 @@ def _cmd_order(args):
     x0 = [args.x0] * problem.n
     est = schemes.estimate_strong_order(problem, args.scheme, steps, args.paths,
                                         x0, args.T, seed=args.seed)
-    _echo_config(args, ["scheme", "problem", "steps", "paths", "T", "seed"])
+    _echo_config(args, ["scheme", "problem", "steps", "paths", "T", "x0", "seed"])
     for h, e in zip(est.steps, est.errors):
         print(f"h {h:.8g} error {e:.8g}")
     lo, hi = est.confidence_interval

@@ -20,7 +20,8 @@ import math
 import threading
 from fractions import Fraction
 from itertools import product
-from typing import Dict, Iterator, Tuple
+from operator import mul
+from typing import Dict, Iterator
 
 import numpy as np
 
@@ -119,31 +120,43 @@ def _prefix_poly(steps: tuple) -> tuple:
     return result
 
 
-def _moment_dot(nums: tuple, l: int, j: int) -> tuple:
-    """``sum_i nums[i] * int_0^1 u^(i+l) P~_j(u) du`` as (numerator, denominator).
-
-    The moment of u^n is ``n!^2 / ((n-j)! (n+j+1)!)`` for n >= j and zero
-    below (orthogonality); consecutive moments differ by the factor
-    ``(n+1)^2 / ((n+1-j) (n+j+2))``, so Horner's rule sums from the top.
-    """
-    lo, hi = max(j, l), len(nums) - 1 + l
-    if hi < lo:
-        return 0, 1
-    num, den = nums[hi - l], 1
-    for n in range(hi - 1, lo - 1, -1):
-        q = (n + 1 - j) * (n + j + 2)
-        num = nums[n - l] * den * q + (n + 1) ** 2 * num
-        den *= q
-    f = math.factorial(lo)
-    return num * f * f, den * math.factorial(lo - j) * math.factorial(lo + j + 1)
+# (E_j, col) per degree j: E_j * int_0^1 u^n P~_j(u) du for n = 0, 1, ... in
+# integers, extended on demand; shared across tensors and profiles
+_column_cache: Dict[int, tuple] = {}
+_ZERO = Fraction(0)
 
 
-def _bar(profile: WeightProfile, j: tuple) -> Fraction:
-    """``bar_coefficient`` without argument checks, for the tensor builder."""
-    nums, den = _prefix_poly(tuple(zip(profile[:-1], j[:-1])))
-    num, mden = _moment_dot(nums, profile[-1], j[-1])
-    k, L = profile.k, profile.total_weight
-    return Fraction((-1) ** L * 2 ** (k + L) * num, den * mden)
+def _column(j: int, depth: int) -> tuple:
+    """``(E, col)`` with ``col[n] / E = n!^2 / ((n-j)! (n+j+1)!)``, the moment of
+    u^n against P~_j, for n <= depth (zero below j, by orthogonality); E is the
+    least common denominator, so an extension rescales old entries by an integer."""
+    E, col = _column_cache.get(j, (1, [0] * j))
+    if len(col) <= depth:
+        ab = [(math.comb(n, j), (j + 1) * math.comb(n + j + 1, j + 1))
+              for n in range(len(col), depth + 1)]
+        new_E = math.lcm(E, *(b // math.gcd(a, b) for a, b in ab))
+        E, col = new_E, [c * (new_E // E) for c in col] + [a * new_E // b for a, b in ab]
+        with _cache_lock:
+            _column_cache[j] = E, col
+    return E, col
+
+
+def _fiber(profile: WeightProfile, prefix: tuple, last) -> list:
+    """Reduced coefficients of ``prefix + (x,)`` for each x in ``last``: one
+    integer dot product each of the outermost integrand u^l F (F the prefix
+    polynomial) against the moment column of x, zero by orthogonality when x
+    exceeds the integrand's degree."""
+    nums, den = _prefix_poly(tuple(zip(profile, prefix)))
+    nums = (0,) * profile[-1] + nums
+    sign_scale = (-1) ** profile.total_weight * 2 ** (profile.k + profile.total_weight)
+    bars = []
+    for x in last:
+        if x >= len(nums):
+            bars.append(_ZERO)
+            continue
+        E, col = _column(x, len(nums) - 1)
+        bars.append(Fraction(sign_scale * sum(map(mul, nums, col)), den * E))
+    return bars
 
 
 def bar_coefficient(profile, j) -> Fraction:
@@ -163,7 +176,7 @@ def bar_coefficient(profile, j) -> Fraction:
         raise ValueError(f"multi-index length {len(j)} != multiplicity {profile.k}")
     if any(v < 0 for v in j):
         raise ValueError("multi-index entries must be non-negative")
-    return _bar(profile, j)
+    return _fiber(profile, j[:-1], j[-1:])[0]
 
 
 def check_step(T_minus_t) -> None:
@@ -231,12 +244,10 @@ def exact_norm(profile) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _shell(q: int, k: int) -> Iterator[Tuple[int, ...]]:
-    """Multi-indices of {0..q}^k whose largest entry is q, by first such entry."""
-    for m in range(k):
-        for head in product(range(q), repeat=m):
-            for tail in product(range(q + 1), repeat=k - m - 1):
-                yield head + (q,) + tail
+def _fibers(q: int, k: int) -> Iterator[tuple]:
+    """``(prefix, last)`` pairs covering the shell max(j) = q of {0..q}^k once:
+    a (k-1)-prefix whose max is q takes j_k = 0..q, an older one only j_k = q."""
+    return ((a, range(q + 1) if q in a else (q,)) for a in product(range(q + 1), repeat=k - 1))
 
 
 class CoeffTensor:
@@ -312,12 +323,19 @@ def build_tensor(profile, p: int) -> CoeffTensor:
         scaled[(slice(0, base.p + 1),) * k] = base._scaled
         start = base.p + 1
     root = np.sqrt(2.0 * np.arange(p + 1) + 1.0)
+    # with every weight 0 the reflection u -> 1 - u of the simplex gives
+    # C_j = (-1)^|j| C_rev(j): compute j <= rev(j) and copy the rest
     for q in range(start, p + 1):
-        shell = list(_shell(q, k))
-        bars = [_bar(profile, j) for j in shell]
-        values.update(zip(shell, bars))
-        idx = tuple(np.array(shell).T)
-        entries = np.array([float(bar) for bar in bars])
+        shell = {}
+        for prefix, last in _fibers(q, k):
+            if L == 0:
+                last = [x for x in last if prefix + (x,) <= (x,) + prefix[::-1]]
+            shell.update(zip([prefix + (x,) for x in last], _fiber(profile, prefix, last)))
+        if L == 0:
+            shell.update({j[::-1]: -bar if sum(j) % 2 else bar for j, bar in shell.items()})
+        values.update(shell)
+        idx = tuple(np.array(list(shell)).T)
+        entries = np.array([float(bar) for bar in shell.values()])
         for axis in range(k):
             entries *= root[idx[axis]]
         entries *= 2.0 ** -(k + L)
@@ -337,7 +355,8 @@ def parseval_defect(profile, p: int) -> Fraction:
         for q in range(len(sums), p + 1):
             # C_j^2 at T - t = 1 is prod(2 j_m + 1) barC_j^2 / 4^(k + sum l)
             shell = sum(math.prod(2 * jm + 1 for jm in j) * tensor.values[j] ** 2
-                        for j in _shell(q, profile.k)) / scale
+                        for j in (a + (x,) for a, last in _fibers(q, profile.k)
+                                  for x in last)) / scale
             sums.append(sums[-1] + shell if sums else shell)
         with _tensor_lock:
             if len(_sq_sum_cache.get(profile, [])) < len(sums):
@@ -364,9 +383,10 @@ def get_tensor(profile, p: int) -> CoeffTensor:
 
 
 def clear_caches() -> None:
-    """Drop all memoized prefix polynomials, tensors and exact Parseval sums."""
+    """Drop all memoized prefix polynomials, moment columns, tensors and Parseval sums."""
     with _cache_lock:
         _prefix_cache.clear()
+        _column_cache.clear()
     with _tensor_lock:
         _tensor_cache.clear()
         _sq_sum_cache.clear()

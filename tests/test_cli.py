@@ -237,40 +237,40 @@ _ORDER = ("order", "--scheme", "t15", "--problem", "gbm",
           "--steps", "0.0625,0.03125,0.015625,0.0078125", "--paths", "2000", "--seed", "7")
 SEEDED_GOLDENS = [
     ((*_GBM, "--scheme", "milstein"),
-     "> stochtaylor integrate scheme=milstein problem=gbm h=0.125 T=1.0 paths=2000 seed=3\n"
+     "> stochtaylor integrate scheme=milstein problem=gbm h=0.125 T=1.0 x0=1.0 paths=2000 seed=3\n"
      "final_mean 1.6116996\n"
      "final_std 1.8865997\n"
      "strong_error 0.089772804\n"),
     ((*_GBM, "--scheme", "t15"),
-     "> stochtaylor integrate scheme=t15 problem=gbm h=0.125 T=1.0 paths=2000 seed=3\n"
+     "> stochtaylor integrate scheme=t15 problem=gbm h=0.125 T=1.0 x0=1.0 paths=2000 seed=3\n"
      "final_mean 1.689047\n"
      "final_std 2.3496082\n"
      "strong_error 0.018051078\n"),
     ((*_GBM, "--scheme", "t20"),
-     "> stochtaylor integrate scheme=t20 problem=gbm h=0.125 T=1.0 paths=2000 seed=3\n"
+     "> stochtaylor integrate scheme=t20 problem=gbm h=0.125 T=1.0 x0=1.0 paths=2000 seed=3\n"
      "final_mean 1.6233824\n"
      "final_std 2.1569956\n"
      "strong_error 0.0027380888\n"),
     ((*_GBM, "--scheme", "t25"),
-     "> stochtaylor integrate scheme=t25 problem=gbm h=0.125 T=1.0 paths=2000 seed=3\n"
+     "> stochtaylor integrate scheme=t25 problem=gbm h=0.125 T=1.0 x0=1.0 paths=2000 seed=3\n"
      "final_mean 1.6371651\n"
      "final_std 2.2612317\n"
      "strong_error 0.00048847827\n"),
     ((*_BILINEAR, "--scheme", "milstein"),
-     "> stochtaylor integrate scheme=milstein problem=bilinear h=0.25 T=1.0 paths=2000 seed=3\n"
+     "> stochtaylor integrate scheme=milstein problem=bilinear h=0.25 T=1.0 x0=1.0 paths=2000 seed=3\n"
      "final_mean 0.86954583 1.1974784\n"
      "final_std 0.62832506 0.56569801\n"),
     ((*_BILINEAR, "--scheme", "t15"),
-     "> stochtaylor integrate scheme=t15 problem=bilinear h=0.25 T=1.0 paths=2000 seed=3\n"
+     "> stochtaylor integrate scheme=t15 problem=bilinear h=0.25 T=1.0 x0=1.0 paths=2000 seed=3\n"
      "final_mean 0.85832813 1.1801195\n"
      "final_std 0.64919234 0.5774646\n"),
     ((*_BILINEAR, "--scheme", "t25"),
-     "> stochtaylor integrate scheme=t25 problem=bilinear h=0.25 T=1.0 paths=2000 seed=3\n"
+     "> stochtaylor integrate scheme=t25 problem=bilinear h=0.25 T=1.0 x0=1.0 paths=2000 seed=3\n"
      "final_mean 0.84193304 1.1717678\n"
      "final_std 0.63745055 0.55018774\n"),
     (_ORDER,
      "> stochtaylor order scheme=t15 problem=gbm steps=0.0625,0.03125,0.015625,0.0078125"
-     " paths=2000 T=1.0 seed=7\n"
+     " paths=2000 T=1.0 x0=1.0 seed=7\n"
      "h 0.0625 error 0.0068903157\n"
      "h 0.03125 error 0.0026474027\n"
      "h 0.015625 error 0.00093577523\n"

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +50,42 @@ def quadrature_bar(exponents, j):
 
     sign = (-1) ** sum(exponents)
     return sign * float(rec(len(j) - 1, np.array(1.0)))
+
+
+def moment_dot(nums, l, j):
+    """Monomial oracle: ``sum_i nums[i] * int_0^1 u^(i+l) P~_j(u) du`` as
+    (numerator, denominator).
+
+    The moment of u^n is ``n!^2 / ((n-j)! (n+j+1)!)`` for n >= j and zero
+    below (orthogonality); consecutive moments differ by the factor
+    ``(n+1)^2 / ((n+1-j) (n+j+2))``, so Horner's rule sums from the top.
+    """
+    lo, hi = max(j, l), len(nums) - 1 + l
+    if hi < lo:
+        return 0, 1
+    num, den = nums[hi - l], 1
+    for n in range(hi - 1, lo - 1, -1):
+        q = (n + 1 - j) * (n + j + 2)
+        num = nums[n - l] * den * q + (n + 1) ** 2 * num
+        den *= q
+    f = math.factorial(lo)
+    return num * f * f, den * math.factorial(lo - j) * math.factorial(lo + j + 1)
+
+
+def oracle_bar(profile, j):
+    """One reduced coefficient by the per-entry Horner sum over the prefix polynomial."""
+    nums, den = coefficients._prefix_poly(tuple(zip(profile[:-1], j[:-1])))
+    num, mden = moment_dot(nums, profile[-1], j[-1])
+    k, L = len(profile), sum(profile)
+    return Fraction((-1) ** L * 2 ** (k + L) * num, den * mden)
+
+
+@pytest.fixture
+def cold_caches(monkeypatch):
+    # private empty caches stand in for clear_caches() and keep the rest of
+    # the suite warm
+    for name in ("_prefix_cache", "_column_cache", "_tensor_cache", "_sq_sum_cache"):
+        monkeypatch.setattr(coefficients, name, {})
 
 
 class TestBarCoefficient:
@@ -195,7 +232,7 @@ class TestTensor:
             build_tensor((0,) * 5, 40)  # 41^5 entries, above the 10^8 ceiling
         # a cap above the degree ceiling fails before any entry is computed
         calls = []
-        monkeypatch.setattr(coefficients, "_moment_dot", lambda *args: calls.append(args))
+        monkeypatch.setattr(coefficients, "_fiber", lambda *args: calls.append(args))
         with pytest.raises(ValueError, match="Legendre degree ceiling 200"):
             build_tensor((0, 0, 0), 300)
         assert calls == []
@@ -284,6 +321,84 @@ class TestParseval:
         h = 0.83
         total = sum(scaled_coefficient((1,), (j,), h) ** 2 for j in range(2))
         assert total == pytest.approx(h**3 / 3, rel=1e-14)
+
+
+class TestFiberKernel:
+    @pytest.mark.parametrize("profile,p", [
+        ((0, 1), 9), ((1, 0), 9), ((2, 1), 6), ((0, 0), 12),
+        ((0, 0, 1), 5), ((1, 0, 2), 4), ((0, 1, 0), 5),
+        ((0, 0, 0, 1), 3), ((1, 0, 1, 0), 3),
+        ((0, 1, 0, 0, 1), 2), ((2, 0, 0, 0, 0), 2),
+    ])
+    def test_every_entry_matches_monomial_oracle(self, cold_caches, profile, p):
+        tensor = build_tensor(profile, p)
+        assert len(tensor) == (p + 1) ** len(profile)
+        for j, value in tensor.values.items():
+            assert value == oracle_bar(profile, j), j
+            assert bar_coefficient(profile, j) == value
+
+    @pytest.mark.parametrize("profile,p", [((0, 0, 0), 12), ((0,) * 4, 6)])
+    def test_grown_shell_by_shell_matches_oracle_and_cold_build(self, cold_caches, profile, p):
+        for q in range(p + 1):
+            grown = get_tensor(profile, q)
+        for j, value in grown.values.items():
+            assert value == oracle_bar(profile, j), j
+        coefficients.clear_caches()
+        cold = build_tensor(profile, p)
+        assert cold.values == grown.values
+        assert cold.scaled_array().tobytes() == grown.scaled_array().tobytes()
+
+    def test_cold_bar_coefficient_reads_the_columns(self, cold_caches):
+        rng = random.Random(5)
+        for _ in range(30):
+            profile = tuple(rng.randrange(0, 3) for _ in range(rng.randrange(1, 6)))
+            j = tuple(rng.randrange(0, 9) for _ in profile)
+            assert bar_coefficient(profile, j) == oracle_bar(profile, j)
+        assert coefficients._column_cache
+
+    @pytest.mark.parametrize("k,p", [(2, 10), (3, 7), (4, 4)])
+    def test_reversal_identity(self, k, p):
+        # u -> 1 - u maps the ordered simplex to itself reversed and
+        # P~_j(1 - u) = (-1)^j P~_j(u), so zero weights give C_j = (-1)^|j| C_rev(j)
+        zero = (0,) * k
+        for j in product(range(p + 1), repeat=k):
+            assert oracle_bar(zero, j) == (-1) ** sum(j) * oracle_bar(zero, j[::-1])
+        # a weight breaks it, so only all-zero profiles are mirrored
+        weighted = (0,) * (k - 1) + (1,)
+        assert any(oracle_bar(weighted, j) != (-1) ** sum(j) * oracle_bar(weighted, j[::-1])
+                   for j in product(range(3), repeat=k))
+
+    @pytest.mark.parametrize("profile", [(0, 1, 0), (2,), (1, 0, 0, 1), (0, 0, 0)])
+    def test_degree_zero_rule(self, cold_caches, profile):
+        # the outermost integrand u^l_k F has degree sum_{m<k} (j_m + 1) + sum l;
+        # a last degree above it is zero by orthogonality, the shared Fraction(0)
+        k, L, p = len(profile), sum(profile), 5
+        tensor = build_tensor(profile, p)
+        for j in product(range(p + 1), repeat=k):
+            top = sum(j[:-1]) + k - 1 + L
+            if j[-1] > top:
+                assert bar_coefficient(profile, j) is coefficients._ZERO
+                assert oracle_bar(profile, j) == 0 == tensor[j]
+            elif j[-1] == top:
+                assert tensor[j] != 0
+
+    def test_column_closed_form_and_extension(self, cold_caches):
+        for j in (0, 3, 7):
+            E, col = coefficients._column(j, 40)
+            assert [Fraction(c, E) for c in col] == [
+                Fraction(math.factorial(n) ** 2,
+                         math.factorial(n - j) * math.factorial(n + j + 1)) if n >= j else 0
+                for n in range(41)]
+            coefficients._column_cache.clear()
+            coefficients._column(j, 5)
+            E2, col2 = coefficients._column(j, 40)
+            assert (E2, col2) == (E, col)
+
+    def test_clear_caches_drops_columns(self, cold_caches):
+        build_tensor((0, 1, 0), 3)
+        assert coefficients._column_cache and coefficients._prefix_cache
+        coefficients.clear_caches()
+        assert coefficients._column_cache == {} and coefficients._prefix_cache == {}
 
 
 # sha256 of repr(sorted((j, numerator, denominator))) over the full box,

@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -75,7 +76,7 @@ class TestMinimalOrder:
             h = rng.uniform(0.15, 0.9)
             cond = Condition(exp)
             fast = minimal_order((0, 0), pat, cond, h)
-            thr = cond.threshold(h) / h**2
+            thr = cond.threshold(h) / Fraction(h) ** 2
             # generic ascending search over the tensor route
             slow = 0
             while True:
@@ -95,18 +96,26 @@ class TestMinimalOrder:
         # of the suite warm
         for name in ("_prefix_cache", "_tensor_cache"):
             monkeypatch.setattr(coefficients, name, {})
-        calls = []
-        moment_dot = coefficients._moment_dot
+        computed = []
+        fiber = coefficients._fiber
 
-        def counting_moment_dot(*args):
-            calls.append(args)
-            return moment_dot(*args)
+        def counting_fiber(profile, prefix, last):
+            computed.extend(prefix + (x,) for x in last)
+            return fiber(profile, prefix, last)
 
-        monkeypatch.setattr(coefficients, "_moment_dot", counting_moment_dot)
+        monkeypatch.setattr(coefficients, "_fiber", counting_fiber)
         k = len(profile)
         assert minimal_order(profile, IndexPattern.distinct(k), Condition(exp), h) == q
         assert coefficients._tensor_cache[profile].p == q
-        assert len(calls) == (q + 1) ** k
+        # every entry of the box up to q is computed once, zero ones included;
+        # with zero weights only j <= rev(j) is, and the rest is mirrored
+        box = set(product(range(q + 1), repeat=k))
+        assert len(set(computed)) == len(computed)
+        mirrored = {j[::-1] for j in computed} - set(computed) if not any(profile) else set()
+        assert set(computed) | mirrored == box
+        assert len(computed) + len(mirrored) == (q + 1) ** k
+        if not any(profile):
+            assert set(computed) == {j for j in box if j <= j[::-1]}
 
     def test_fractional_weights_rejected(self):
         with pytest.raises(ValueError, match="weight exponents must be integers, got 0.9"):
