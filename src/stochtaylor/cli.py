@@ -10,6 +10,7 @@ seed.  Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
 import numpy as np
@@ -57,8 +58,6 @@ def _cmd_error(args):
     bound = errors.error_bound_kfact(profile, args.p, args.step)
     keys = ["weights", "pattern", "p", "step", "format"]
     if args.format == "jsonl":
-        import json
-
         print(json.dumps({"command": args.command, **_config(args, keys),
                           "exact_error": res.value, "normalized": res.normalized,
                           "kfact_bound": bound}))

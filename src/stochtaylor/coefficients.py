@@ -21,7 +21,7 @@ import threading
 from fractions import Fraction
 from itertools import product
 from operator import mul
-from typing import Dict, Iterator
+from typing import Dict
 
 import numpy as np
 
@@ -123,7 +123,6 @@ def _prefix_poly(steps: tuple) -> tuple:
 # (E_j, col) per degree j: E_j * int_0^1 u^n P~_j(u) du for n = 0, 1, ... in
 # integers, extended on demand; shared across tensors and profiles
 _column_cache: Dict[int, tuple] = {}
-_ZERO = Fraction(0)
 
 
 def _column(j: int, depth: int) -> tuple:
@@ -142,21 +141,15 @@ def _column(j: int, depth: int) -> tuple:
 
 
 def _fiber(profile: WeightProfile, prefix: tuple, last) -> list:
-    """Reduced coefficients of ``prefix + (x,)`` for each x in ``last``: one
-    integer dot product each of the outermost integrand u^l F (F the prefix
-    polynomial) against the moment column of x, zero by orthogonality when x
-    exceeds the integrand's degree."""
+    """Reduced coefficients of ``prefix + (x,)`` for each x in ``last`` as integer
+    ``(numerator, denominator)`` pairs: one integer dot product each of the outermost
+    integrand u^l F (F the prefix polynomial) against the moment column of x, and
+    ``(0, 1)`` by orthogonality when x exceeds the integrand's degree."""
     nums, den = _prefix_poly(tuple(zip(profile, prefix)))
     nums = (0,) * profile[-1] + nums
     sign_scale = (-1) ** profile.total_weight * 2 ** (profile.k + profile.total_weight)
-    bars = []
-    for x in last:
-        if x >= len(nums):
-            bars.append(_ZERO)
-            continue
-        E, col = _column(x, len(nums) - 1)
-        bars.append(Fraction(sign_scale * sum(map(mul, nums, col)), den * E))
-    return bars
+    cols = [_column(x, len(nums) - 1) if x < len(nums) else (1, ()) for x in last]
+    return [(sign_scale * sum(map(mul, nums, col)), den * E) if col else (0, 1) for E, col in cols]
 
 
 def bar_coefficient(profile, j) -> Fraction:
@@ -176,7 +169,7 @@ def bar_coefficient(profile, j) -> Fraction:
         raise ValueError(f"multi-index length {len(j)} != multiplicity {profile.k}")
     if any(v < 0 for v in j):
         raise ValueError("multi-index entries must be non-negative")
-    return _fiber(profile, j[:-1], j[-1:])[0]
+    return Fraction(*_fiber(profile, j[:-1], j[-1:])[0])
 
 
 def check_step(T_minus_t) -> None:
@@ -244,32 +237,42 @@ def exact_norm(profile) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _fibers(q: int, k: int) -> Iterator[tuple]:
-    """``(prefix, last)`` pairs covering the shell max(j) = q of {0..q}^k once:
-    a (k-1)-prefix whose max is q takes j_k = 0..q, an older one only j_k = q."""
-    return ((a, range(q + 1) if q in a else (q,)) for a in product(range(q + 1), repeat=k - 1))
+def _shell(profile: WeightProfile, q: int) -> Dict[tuple, tuple]:
+    """Every reduced coefficient of the shell max(j) = q as ``{j: (n, d)}``, n / d exact.
+
+    A (k-1)-prefix whose max is q takes j_k = 0..q, an older one only j_k = q.
+    With every weight 0 the reflection u -> 1 - u of the simplex gives C_j =
+    (-1)^|j| C_rev(j): compute j <= rev(j) and negate the mirrored numerators.
+    """
+    mirror, shell = profile.total_weight == 0, {}
+    for prefix in product(range(q + 1), repeat=profile.k - 1):
+        last = range(q + 1) if q in prefix else (q,)
+        if mirror:
+            last = [x for x in last if prefix + (x,) <= (x,) + prefix[::-1]]
+        shell.update(zip([prefix + (x,) for x in last], _fiber(profile, prefix, last)))
+    if mirror:
+        shell.update({j[::-1]: (-n, d) if sum(j) % 2 else (n, d) for j, (n, d) in shell.items()})
+    return shell
 
 
 class CoeffTensor:
     """All reduced coefficients of one profile over the box {0..p}^k.
 
-    Immutable after construction.  ``values`` maps each multi-index tuple
-    (j_1 .. j_k, innermost first) to the exact rational reduced coefficient;
-    ``scaled`` is the float array ``build_tensor`` supplies with it.
+    Immutable after construction.  It stores only the float array that
+    ``build_tensor`` rounds the exact coefficients into.
     """
 
-    def __init__(self, profile: WeightProfile, p: int, values: Dict[tuple, Fraction],
-                 scaled: np.ndarray):
+    def __init__(self, profile: WeightProfile, p: int, scaled: np.ndarray):
         self.profile = _profile(profile)
         self.p = int(p)
-        self.values = values
         self._scaled = scaled
 
-    def __getitem__(self, j):
-        return self.values[tuple(j)]
-
-    def __len__(self):
-        return len(self.values)
+    @property
+    def values(self) -> Dict[tuple, Fraction]:
+        """Exact reduced coefficient of each multi-index (j_1 .. j_k, innermost first)
+        of the box; not stored, so each access recomputes the whole box."""
+        return {j: Fraction(*nd) for q in range(self.p + 1)
+                for j, nd in _shell(self.profile, q).items()}
 
     def scaled_array(self) -> np.ndarray:
         """Dense float array of unit-interval scaled coefficients.
@@ -295,68 +298,60 @@ _sq_sum_cache: Dict[WeightProfile, list] = {}
 _tensor_lock = threading.Lock()
 
 
-def build_tensor(profile, p: int) -> CoeffTensor:
-    """Compute every reduced coefficient over the box {0..p}^k.
-
-    Deterministic.  The cached tensor of the profile, when its cap is at most
-    ``p``, is extended over the new shells max(j) = q only: its exact values
-    and float entries are copied, and each new entry is computed once.
-    Raises ``ValueError`` when the box would exceed ``ENTRY_CEILING`` entries,
-    or for k >= 2 when ``p`` exceeds the Legendre degree ceiling ``MAX_DEGREE``
-    (the inner variables' polynomials need degree ``p``; k = 1 has none).
-    """
-    profile = _profile(profile)
+def _check_box(profile: WeightProfile, p: int) -> None:
+    """Reject a box of more than ``ENTRY_CEILING`` entries or, for k >= 2, a cap above the
+    Legendre degree ceiling (the inner polynomials need degree p; k = 1 has none)."""
     check_cap(p)
-    k, L = profile.k, profile.total_weight
+    k, n_entries = profile.k, (p + 1) ** profile.k
     if k >= 2 and p > MAX_DEGREE:
         raise ValueError(f"cap p={p} above the Legendre degree ceiling {MAX_DEGREE} "
                          f"for multiplicity {k}")
-    n_entries = (p + 1) ** k
     if n_entries > ENTRY_CEILING:
         raise ValueError(f"box {(p + 1)}^{k} = {n_entries} entries exceeds ceiling {ENTRY_CEILING}")
-    values, start = {}, 0
+
+
+def build_tensor(profile, p: int) -> CoeffTensor:
+    """Compute every reduced coefficient over the box {0..p}^k, rounded to float.
+
+    Deterministic.  The cached tensor of the profile, when its cap is at most
+    ``p``, is extended over the new shells max(j) = q only: its float entries
+    are copied, and each new entry is computed once; ``_check_box`` says what it rejects.
+    """
+    profile = _profile(profile)
+    _check_box(profile, p)
+    k, L, start = profile.k, profile.total_weight, 0
     scaled = np.empty((p + 1,) * k, dtype=np.float64)
     with _tensor_lock:
         base = _tensor_cache.get(profile)
     if base is not None and base.p <= p:
-        values.update(base.values)
         scaled[(slice(0, base.p + 1),) * k] = base._scaled
         start = base.p + 1
     root = np.sqrt(2.0 * np.arange(p + 1) + 1.0)
-    # with every weight 0 the reflection u -> 1 - u of the simplex gives
-    # C_j = (-1)^|j| C_rev(j): compute j <= rev(j) and copy the rest
     for q in range(start, p + 1):
-        shell = {}
-        for prefix, last in _fibers(q, k):
-            if L == 0:
-                last = [x for x in last if prefix + (x,) <= (x,) + prefix[::-1]]
-            shell.update(zip([prefix + (x,) for x in last], _fiber(profile, prefix, last)))
-        if L == 0:
-            shell.update({j[::-1]: -bar if sum(j) % 2 else bar for j, bar in shell.items()})
-        values.update(shell)
+        shell = _shell(profile, q)
         idx = tuple(np.array(list(shell)).T)
-        entries = np.array([float(bar) for bar in shell.values()])
+        # int true division rounds correctly, as float(Fraction(n, d)) does
+        entries = np.array([n / d for n, d in shell.values()])
         for axis in range(k):
             entries *= root[idx[axis]]
         entries *= 2.0 ** -(k + L)
         scaled[idx] = entries
-    return CoeffTensor(profile, p, values, scaled)
+    return CoeffTensor(profile, p, scaled)
 
 
 def parseval_defect(profile, p: int) -> Fraction:
     """Exact rational defect ``I_k - sum C^2`` over {0..p}^k at T - t = 1, from the
     profile's cached exact sums, extended shell by shell."""
     profile = _profile(profile)
-    tensor = get_tensor(profile, p)
+    _check_box(profile, p)
     with _tensor_lock:
         sums = _sq_sum_cache.get(profile, [])
     if len(sums) <= p:
         sums, scale = list(sums), 4 ** (profile.k + profile.total_weight)
         for q in range(len(sums), p + 1):
             # C_j^2 at T - t = 1 is prod(2 j_m + 1) barC_j^2 / 4^(k + sum l)
-            shell = sum(math.prod(2 * jm + 1 for jm in j) * tensor.values[j] ** 2
-                        for j in (a + (x,) for a, last in _fibers(q, profile.k)
-                                  for x in last)) / scale
+            shell = sum(math.prod(2 * jm + 1 for jm in j) * Fraction(n, d) ** 2
+                        for j, (n, d) in _shell(profile, q).items()) / scale
             sums.append(sums[-1] + shell if sums else shell)
         with _tensor_lock:
             if len(_sq_sum_cache.get(profile, [])) < len(sums):

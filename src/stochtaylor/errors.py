@@ -29,7 +29,7 @@ __all__ = [
     "exact_error",
     "normalized_error",
     "error_bound_kfact",
-    "accurate_sum",
+    "at_step",
 ]
 
 
@@ -121,15 +121,21 @@ class ErrorResult:
     """Mean-square truncation error of one approximation."""
 
     value: float
+    normalized: float  # the error at T - t = 1, the tables' normalization
     profile: WeightProfile
     pattern: IndexPattern
     p: int
     T_minus_t: float
 
-    @property
-    def normalized(self) -> float:
-        """Error divided by (T-t)^(k + 2 sum l), the tables' normalization."""
-        return self.value / self.T_minus_t**self.profile.norm_exponent
+
+def at_step(normalized: float, profile: WeightProfile, T_minus_t: float) -> float:
+    """An error at T - t = 1 taken to the step: 0.0 on underflow, ``ValueError`` on overflow."""
+    try:
+        if not math.isinf(value := normalized * T_minus_t**profile.norm_exponent):
+            return value
+    except OverflowError:
+        pass
+    raise ValueError(f"T_minus_t={T_minus_t!r} ** {profile.norm_exponent} overflows a float")
 
 
 def normalized_error(profile, pattern: IndexPattern, p: int) -> float:
@@ -160,7 +166,7 @@ def exact_error(profile, pattern: IndexPattern, p: int, T_minus_t: float) -> Err
     check_cap(p)
     check_step(T_minus_t)
     norm = normalized_error(profile, pattern, p)
-    return ErrorResult(norm * T_minus_t**profile.norm_exponent, profile, pattern, p, T_minus_t)
+    return ErrorResult(at_step(norm, profile, T_minus_t), norm, profile, pattern, p, T_minus_t)
 
 
 def error_bound_kfact(profile, p: int, T_minus_t: float) -> float:
@@ -171,4 +177,4 @@ def error_bound_kfact(profile, p: int, T_minus_t: float) -> float:
     profile = WeightProfile(profile)
     check_step(T_minus_t)
     defect = float(exact_norm(profile)) - get_tensor(profile, p).squared_sum_float(p)
-    return math.factorial(profile.k) * defect * T_minus_t**profile.norm_exponent
+    return at_step(math.factorial(profile.k) * defect, profile, T_minus_t)

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, List, NamedTuple, Tuple
 
 from .coefficients import WeightProfile, check_step
-from .errors import IndexPattern, normalized_error
+from .errors import IndexPattern, at_step, normalized_error
 from .legendre import MAX_DEGREE
 
 __all__ = [
@@ -310,7 +310,7 @@ def check_hypothesis(profile, condition: Condition, T_minus_t: float) -> Hypothe
             continue
         q = minimal_order(profile, pattern, condition, T_minus_t)
         norm = normalized_error(profile, pattern, distinct_q)
-        err = norm * T_minus_t**profile.norm_exponent
+        err = at_step(norm, profile, T_minus_t)
         results.append(CaseResult(label, pattern, q, err, not condition.admits(norm, thr)))
     return HypothesisReport(profile, condition, T_minus_t, distinct_q, tuple(results))
 

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import json
 
 import pytest
 
@@ -76,8 +77,6 @@ class TestSubcommands:
         assert "kfact_bound 0.00505050505051" in out
 
     def test_error_jsonl(self):
-        import json
-
         code, out = run_cli("error", "--weights", "00", "--pattern", "distinct",
                             "--p", "0", "--step", "1.0", "--format", "jsonl")
         assert code == 0
@@ -197,6 +196,30 @@ class TestSubcommands:
          "above the Legendre degree ceiling 200"),
     ])
     def test_degenerate_start_rejected(self, argv, message, capsys):
+        assert run_cli(*argv) == (1, "")
+        assert message in capsys.readouterr().err
+
+    def test_underflowing_step_keeps_the_normalized_error(self):
+        # (1e-200)^3 underflows: the error at the step is 0, at T - t = 1 it is not
+        code, out = run_cli("error", "--weights", "0,0,0", "--p", "2", "--step", "1e-200")
+        assert code == 0
+        assert "exact_error 0" in out.splitlines()
+        _, unit = run_cli("error", "--weights", "0,0,0", "--p", "2", "--step", "1")
+        assert out.splitlines()[2] == unit.splitlines()[2] == "normalized 0.0502494331066"
+        code, out = run_cli("error", "--weights", "0,0,0", "--p", "2", "--step", "1e-120",
+                            "--format", "jsonl")
+        assert code == 0
+        assert json.loads(out)["exact_error"] == 0.0
+
+    @pytest.mark.parametrize("argv,message", [
+        (("error", "--weights", "0,0", "--pattern", "1,2", "--p", "5", "--step", "1e308"),
+         "T_minus_t=1e+308 ** 2 overflows a float"),
+        (("check", "--weights", "0,0,0", "--order-exp", "4", "--step", "1e200"),
+         "T_minus_t=1e+200 ** 3 overflows a float"),
+        (("mse", "--spec", "00", "--i", "1,2", "--p", "1", "--step", "1e308", "--paths", "4",
+          "--grid", "4"), "T_minus_t=1e+308 ** 2 overflows a float"),
+    ])
+    def test_overflowing_step_rejected(self, argv, message, capsys):
         assert run_cli(*argv) == (1, "")
         assert message in capsys.readouterr().err
 

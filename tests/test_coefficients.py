@@ -4,6 +4,7 @@ import random
 import subprocess
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -215,17 +216,63 @@ class TestExactNorm:
 
 class TestTensor:
     def test_counts(self):
-        assert len(build_tensor((0, 0), 0)) == 1
-        assert len(build_tensor((0, 0, 0), 1)) == 8
-        assert len(build_tensor((0,) * 5, 2)) == 243
+        for profile, p, n in [((0, 0), 0, 1), ((0, 0, 0), 1, 8), ((0,) * 5, 2, 243)]:
+            t = build_tensor(profile, p)
+            assert t.scaled_array().shape == (p + 1,) * len(profile)
+            assert len(t.values) == n
 
     def test_entries(self):
-        t = build_tensor((0, 0), 0)
-        assert t[(0, 0)] == Fraction(2)
-        t = build_tensor((0, 0, 0), 1)
-        assert t[(0, 0, 0)] == Fraction(4, 3)
-        t = build_tensor((0,) * 5, 0)
-        assert t[(0,) * 5] == Fraction(4, 15)
+        assert build_tensor((0, 0), 0).values[(0, 0)] == Fraction(2)
+        assert build_tensor((0, 0, 0), 1).values[(0, 0, 0)] == Fraction(4, 3)
+        assert build_tensor((0,) * 5, 0).values[(0,) * 5] == Fraction(4, 15)
+
+    def test_store_holds_the_float_array_only(self):
+        t = build_tensor((0, 1), 2)
+        assert set(vars(t)) == {"profile", "p", "_scaled"}
+        assert t.values is not t.values  # recomputed on each access, never kept
+        assert t.values == {j: bar_coefficient((0, 1), j) for j in product(range(3), repeat=2)}
+
+    @pytest.mark.parametrize("profile,p", [((0, 0, 0), 8), ((0, 1), 6), ((0,) * 4, 3)])
+    def test_builds_make_no_fraction(self, cold_caches, monkeypatch, profile, p):
+        expected = build_tensor(profile, p).scaled_array().tobytes()
+
+        def no_fraction(*args):
+            raise AssertionError("build_tensor made a Fraction")
+
+        coefficients.clear_caches()
+        monkeypatch.setattr(coefficients, "Fraction", no_fraction)
+        assert build_tensor(profile, p).scaled_array().tobytes() == expected
+        coefficients.clear_caches()
+        for q in range(p + 1):
+            grown = get_tensor(profile, q)
+        assert grown.scaled_array().tobytes() == expected
+
+    def test_warm_rebuild_retains_only_floats(self, cold_caches):
+        # the float array of a (0,0,0) box at p = 30 is 31^3 * 8 B = 0.23 MiB
+        build_tensor((0, 0, 0), 30)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tensor = build_tensor((0, 0, 0), 30)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert tensor.p == 30
+        assert retained < 2**20
+
+    @pytest.mark.parametrize("profile,p", [((0, 0, 0), 10), ((0,) * 4, 4), ((1, 0, 2), 4)])
+    def test_floats_are_the_rounded_oracle_bitwise(self, cold_caches, profile, p):
+        # float(barC) times the roots in axis order times 2^-(k+L): pins the
+        # rounding and the sign of every zero (a negated float zero is -0.0)
+        k, L = len(profile), sum(profile)
+        root = np.sqrt(2.0 * np.arange(p + 1) + 1.0)
+        expected = np.empty((p + 1,) * k)
+        for j in product(range(p + 1), repeat=k):
+            value = float(oracle_bar(profile, j))
+            for jm in j:
+                value = value * root[jm]
+            expected[j] = value * 2.0 ** -(k + L)
+        assert build_tensor(profile, p).scaled_array().tobytes() == expected.tobytes()
 
     def test_entry_ceiling(self, monkeypatch):
         with pytest.raises(ValueError):
@@ -267,13 +314,24 @@ class TestParseval:
     def test_defect_leaves_cached_tensor_unchanged(self):
         profile = (0, 1, 1)
         tensor = get_tensor(profile, 4)
-        before, n = dict(vars(tensor)), len(tensor)
+        before, floats = dict(vars(tensor)), tensor.scaled_array().tobytes()
         for p in (4, 2, 0):
             parseval_defect(profile, p)
         assert get_tensor(profile, 4) is tensor
         assert vars(tensor).keys() == before.keys()
         assert all(vars(tensor)[name] is value for name, value in before.items())
-        assert len(tensor) == n
+        assert tensor.scaled_array().tobytes() == floats
+
+    def test_defect_rejects_before_any_entry(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(coefficients, "_fiber", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match="cap p=300 above the Legendre degree ceiling 200 "
+                                             "for multiplicity 3"):
+            parseval_defect((0, 0, 0), 300)
+        with pytest.raises(ValueError, match=r"box 41\^5 = 115856201 entries exceeds ceiling "
+                                             r"100000000"):
+            parseval_defect((0,) * 5, 40)
+        assert calls == []
 
     def test_concurrent_defects_agree(self, monkeypatch):
         # threads extend one profile's exact sums at once; no shell may be lost or mixed
@@ -331,9 +389,9 @@ class TestFiberKernel:
         ((0, 1, 0, 0, 1), 2), ((2, 0, 0, 0, 0), 2),
     ])
     def test_every_entry_matches_monomial_oracle(self, cold_caches, profile, p):
-        tensor = build_tensor(profile, p)
-        assert len(tensor) == (p + 1) ** len(profile)
-        for j, value in tensor.values.items():
+        values = build_tensor(profile, p).values
+        assert len(values) == (p + 1) ** len(profile)
+        for j, value in values.items():
             assert value == oracle_bar(profile, j), j
             assert bar_coefficient(profile, j) == value
 
@@ -369,18 +427,26 @@ class TestFiberKernel:
                    for j in product(range(3), repeat=k))
 
     @pytest.mark.parametrize("profile", [(0, 1, 0), (2,), (1, 0, 0, 1), (0, 0, 0)])
-    def test_degree_zero_rule(self, cold_caches, profile):
+    def test_degree_zero_rule(self, cold_caches, monkeypatch, profile):
         # the outermost integrand u^l_k F has degree sum_{m<k} (j_m + 1) + sum l;
-        # a last degree above it is zero by orthogonality, the shared Fraction(0)
+        # a last degree above it is zero by orthogonality: the pair (0, 1), with
+        # no _column call
         k, L, p = len(profile), sum(profile), 5
-        tensor = build_tensor(profile, p)
+        values = build_tensor(profile, p).values
+        column, calls = coefficients._column, []
+        monkeypatch.setattr(coefficients, "_column", lambda *a: calls.append(a) or column(*a))
         for j in product(range(p + 1), repeat=k):
             top = sum(j[:-1]) + k - 1 + L
+            calls.clear()
+            pair = coefficients._fiber(WeightProfile(profile), j[:-1], j[-1:])[0]
             if j[-1] > top:
-                assert bar_coefficient(profile, j) is coefficients._ZERO
-                assert oracle_bar(profile, j) == 0 == tensor[j]
-            elif j[-1] == top:
-                assert tensor[j] != 0
+                assert (pair, calls) == ((0, 1), [])
+                assert oracle_bar(profile, j) == 0 == values[j]
+            else:
+                assert len(calls) == 1
+                assert Fraction(*pair) == values[j] == oracle_bar(profile, j)
+                if j[-1] == top:
+                    assert values[j] != 0
 
     def test_column_closed_form_and_extension(self, cold_caches):
         for j in (0, 3, 7):

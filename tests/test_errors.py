@@ -15,6 +15,7 @@ import pytest
 
 from stochtaylor import coefficients
 from stochtaylor.coefficients import (
+    WeightProfile,
     bar_coefficient,
     clear_caches,
     exact_norm,
@@ -24,6 +25,7 @@ from stochtaylor.coefficients import (
 from stochtaylor.errors import (
     IndexPattern,
     accurate_sum,
+    at_step,
     error_bound_kfact,
     exact_error,
     normalized_error,
@@ -325,6 +327,19 @@ class TestStructure:
             exact_error((0, 0), IndexPattern.distinct(2), 1, step)
         with pytest.raises(ValueError, match=repr(step)):
             error_bound_kfact((0, 0), 1, step)
+
+    def test_step_power_underflows_to_zero_and_overflow_names_the_step(self):
+        distinct = IndexPattern.distinct(3)
+        e = exact_error((0, 0, 0), distinct, 2, 1e-200)  # (1e-200)^3 underflows
+        assert e.value == 0.0 == error_bound_kfact((0, 0, 0), 2, 1e-200)
+        assert e.normalized == normalized_error((0, 0, 0), distinct, 2) > 0
+        for fn in (lambda: exact_error((0, 0), IndexPattern.distinct(2), 5, 1e308),
+                   lambda: error_bound_kfact((0, 0), 5, 1e308)):
+            with pytest.raises(ValueError, match=r"T_minus_t=1e\+308 \*\* 2 overflows"):
+                fn()
+        # a finite power whose product with the error overflows is rejected too
+        with pytest.raises(ValueError, match=r"T_minus_t=1e\+308 \*\* 1 overflows"):
+            at_step(120.0, WeightProfile((0,)), 1e308)
 
     @pytest.mark.parametrize("fn", [
         lambda: error_bound_kfact((0, 0), -1, 1.0),
