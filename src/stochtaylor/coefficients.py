@@ -5,9 +5,10 @@ The kernel of a multiplicity-k iterated integral with monomial time weights
 coefficient against a product of shifted orthonormal Legendre polynomials
 factors into an exact rational "reduced" coefficient (an iterated polynomial
 integral over the simplex of ``[-1, 1]^k``) times a closed-form scaling in
-``T - t`` and the degrees.  After the change of variable u = (1 + x) / 2 the
-integration runs in Python integers over one tracked denominator; no
-quadrature is involved.
+``T - t`` and the degrees.  After the change of variable u = (1 + x) / 2 each
+polynomial F is held by its exact moments m_n = int_0^1 F P~_n du in integers
+over one denominator, with no quadrature; times 2u - 1 or u and int_0^u are
+three-term maps of them, and the outermost integral against P~_x reads m_x.
 
 Sign convention: the reduced coefficient absorbs ``(-1)**sum(l)`` so that the
 weighted k = 2, 3 coefficient tables carry their leading minus signs
@@ -16,16 +17,16 @@ verbatim.
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from fractions import Fraction
-from itertools import product
-from operator import mul
+from itertools import accumulate, product
 from typing import Dict
 
 import numpy as np
 
-from .legendre import MAX_DEGREE, shifted_legendre
+from .legendre import MAX_DEGREE
 
 __all__ = [
     "WeightProfile",
@@ -48,14 +49,14 @@ ENTRY_CEILING = 10**8
 
 
 class WeightProfile(tuple):
-    """Weight exponents (l_1 .. l_k) of one iterated integral, 1 <= k <= 6."""
+    """Weight exponents (l_1 .. l_k), each 0..200, of one iterated integral, 1 <= k <= 6."""
 
     def __new__(cls, exponents):
         exps = tuple(as_int(l, "weight exponents") for l in exponents)
         if not 1 <= len(exps) <= MAX_MULTIPLICITY:
             raise ValueError(f"multiplicity must be 1..{MAX_MULTIPLICITY}, got {len(exps)}")
-        if any(l < 0 for l in exps):
-            raise ValueError("weight exponents must be non-negative")
+        if not all(0 <= l <= MAX_DEGREE for l in exps):  # each l costs l moment steps
+            raise ValueError(f"weight exponents must be in 0..{MAX_DEGREE}, got {exps}")
         return super().__new__(cls, exps)
 
     @property
@@ -83,73 +84,76 @@ def _profile(profile) -> WeightProfile:
 # reduced coefficients, integrated in u = (1 + x) / 2 over the [0, 1] simplex
 # ---------------------------------------------------------------------------
 
-# F_m(u) = int_0^u P~_{j_m}(s) s^{l_m} F_{m-1}(s) ds with F_0 = 1, as integer
-# numerators of u^0, u^1, ... over one denominator, keyed by the
-# ((l_1, j_1), ..., (l_m, j_m)) prefix (all but the outermost variable);
-# shared across tensors and profiles
+# moments of F_m(u) = int_0^u P~_{j_m}(s) s^{l_m} F_{m-1}(s) ds, F_0 = 1, by the prefix
+# ((l_1, j_1), ..., (l_m, j_m)), and per (F, l) the Bonnet pair (j, P~_{j-1} G, P~_j G), G = u^l F
 _prefix_cache: Dict[tuple, tuple] = {}
+_bonnet_cache: Dict[tuple, tuple] = {}
 _cache_lock = threading.Lock()
 
 
-def _prefix_poly(steps: tuple) -> tuple:
-    """Running simplex integral after the first ``len(steps)`` factors.
+@functools.cache
+def _odd_lcm(n: int) -> int:
+    """lcm(1, 3, ..., 2n + 1), the moment operators' denominator; n < 6 * 402 bounds the cache."""
+    return math.lcm(*range(1, 2 * n + 2, 2))
 
-    ``steps`` is a tuple of (l, j) pairs, innermost variable first.  Returns
-    ``(nums, den)``, meaning ``sum_i nums[i] u^i / den`` in lowest terms.
-    """
-    if not steps:
-        return (1,), 1
-    cached = _prefix_cache.get(steps)
+
+def _reduced(nums: list, den: int) -> tuple:
+    g = math.gcd(den, *nums)
+    return tuple([c // g for c in nums]), den // g
+
+
+def _times_x(nums: tuple, den: int) -> tuple:
+    """(2u - 1) F: m'_n = ((n + 1) m_{n+1} + n m_{n-1}) / (2n + 1), not reduced."""
+    D, m = _odd_lcm(len(nums)), (0, *nums, 0, 0)  # m[n + 1] is m_n
+    return [D // (2 * n + 1) * ((n + 1) * m[n + 2] + n * m[n])
+            for n in range(len(nums) + 1)], den * D
+
+
+def _times_u(nums: tuple, den: int, l: int) -> tuple:
+    """u^l F by l steps u F = (F + (2u - 1) F) / 2, each reduced lest denominators compound."""
+    for _ in range(l):
+        xnums, xden = _times_x(nums, den)
+        nums, den = _reduced([xden // den * a + b for a, b in zip((*nums, 0), xnums)], 2 * xden)
+    return nums, den
+
+
+def _integral(nums: tuple, den: int) -> tuple:
+    """int_0^u F: m'_0 = (m_0 - m_1) / 2, m'_n = (m_{n-1} - m_{n+1}) / (2 (2n + 1))."""
+    D, m = _odd_lcm(len(nums)), (*nums, 0, 0)
+    return _reduced([D * (m[0] - m[1])] + [D // (2 * n + 1) * (m[n - 1] - m[n + 1])
+                                           for n in range(1, len(nums) + 1)], 2 * D * den)
+
+
+def _prefix(steps: tuple) -> tuple:
+    """Moments ``(nums, den)``, in lowest terms, of the running simplex integral after
+    the (l, j) pairs ``steps``, innermost first.  P~_j G, G = u^l F (F the parent), comes
+    by Bonnet's recurrence P~_{i+1} G = ((2i + 1) (2u - 1) P~_i G - i P~_{i-1} G) / (i + 1)
+    from the stored pair of (parent, l); a degree below the stored one restarts from G."""
+    cached = _prefix_cache.get(steps) if steps else ((1,), 1)
     if cached is not None:
         return cached
-    inner, den = _prefix_poly(steps[:-1])
-    l, j = steps[-1]
-    prod = [0] * (len(inner) + j)
-    for a, ca in enumerate(shifted_legendre(j)):
-        for b, cb in enumerate(inner):
-            if cb:
-                prod[a + b] += ca * cb
-    # the integrand's u^i term is prod[i - l]; it integrates to u^(i+1)/(i+1)
-    scale = math.lcm(*range(l + 1, l + len(prod) + 1))
-    nums = [0] * (l + 1) + [c * (scale // (i + l + 1)) for i, c in enumerate(prod)]
-    den *= scale
-    g = math.gcd(den, *nums)
-    result = tuple(c // g for c in nums), den // g
+    parent, (l, j) = steps[:-1], steps[-1]
+    state = _bonnet_cache.get((parent, l))
+    if state is None or state[0] > j:
+        state = (0,) + (_times_u(*_prefix(parent), l),) * 2
+    i, prev, cur = state
+    while i < j:
+        xnums, xden = _times_x(*cur)
+        den = math.lcm(xden, prev[1])
+        a, b = (2 * i + 1) * (den // xden), i * (den // prev[1])
+        i, prev, cur = i + 1, cur, _reduced(
+            [a * c - b * d for c, d in zip(xnums, (*prev[0], 0, 0))], den * (i + 1))
+    moments = _integral(*cur)
     with _cache_lock:
-        _prefix_cache.setdefault(steps, result)
-    return result
+        _bonnet_cache[parent, l] = (i, prev, cur)
+        return _prefix_cache.setdefault(steps, moments)
 
 
-# (E_j, col) per degree j: E_j * int_0^1 u^n P~_j(u) du for n = 0, 1, ... in
-# integers, extended on demand; shared across tensors and profiles
-_column_cache: Dict[int, tuple] = {}
-
-
-def _column(j: int, depth: int) -> tuple:
-    """``(E, col)`` with ``col[n] / E = n!^2 / ((n-j)! (n+j+1)!)``, the moment of
-    u^n against P~_j, for n <= depth (zero below j, by orthogonality); E is the
-    least common denominator, so an extension rescales old entries by an integer."""
-    E, col = _column_cache.get(j, (1, [0] * j))
-    if len(col) <= depth:
-        ab = [(math.comb(n, j), (j + 1) * math.comb(n + j + 1, j + 1))
-              for n in range(len(col), depth + 1)]
-        new_E = math.lcm(E, *(b // math.gcd(a, b) for a, b in ab))
-        E, col = new_E, [c * (new_E // E) for c in col] + [a * new_E // b for a, b in ab]
-        with _cache_lock:
-            _column_cache[j] = E, col
-    return E, col
-
-
-def _fiber(profile: WeightProfile, prefix: tuple, last) -> list:
-    """Reduced coefficients of ``prefix + (x,)`` for each x in ``last`` as integer
-    ``(numerator, denominator)`` pairs: one integer dot product each of the outermost
-    integrand u^l F (F the prefix polynomial) against the moment column of x, and
-    ``(0, 1)`` by orthogonality when x exceeds the integrand's degree."""
-    nums, den = _prefix_poly(tuple(zip(profile, prefix)))
-    nums = (0,) * profile[-1] + nums
-    sign_scale = (-1) ** profile.total_weight * 2 ** (profile.k + profile.total_weight)
-    cols = [_column(x, len(nums) - 1) if x < len(nums) else (1, ()) for x in last]
-    return [(sign_scale * sum(map(mul, nums, col)), den * E) if col else (0, 1) for E, col in cols]
+def _fiber(profile: WeightProfile, prefix: tuple) -> tuple:
+    """Moments ``(nums, den)`` of the outermost integrand u^l F, F the prefix's polynomial:
+    the reduced coefficient of ``prefix + (x,)`` is ``(-1)^L 2^(k+L) nums[x] / den``, and
+    zero above the integrand's degree by orthogonality."""
+    return _times_u(*_prefix(tuple(zip(profile, prefix))), profile[-1])
 
 
 def bar_coefficient(profile, j) -> Fraction:
@@ -159,9 +163,8 @@ def bar_coefficient(profile, j) -> Fraction:
     simplex ``-1 <= x_1 <= ... <= x_k <= 1`` of
     ``prod_m P_{j_m}(x_m) (1 + x_m)^{l_m}``, with ``j_1`` innermost.  With
     x = 2u - 1 that is ``(-1)**L 2**(k+L)`` times the same integral of
-    ``prod_m P~_{j_m}(u_m) u_m^{l_m}`` over ``0 <= u_1 <= ... <= u_k <= 1``.
-    Inner variables are integrated in integers; the outermost integral is a
-    dot product against closed-form moments.
+    ``prod_m P~_{j_m}(u_m) u_m^{l_m}`` over ``0 <= u_1 <= ... <= u_k <= 1``:
+    one read of the fiber of ``j[:-1]``, whose degrees must be at most ``MAX_DEGREE``.
     """
     profile = _profile(profile)
     j = tuple(int(v) for v in j)
@@ -169,7 +172,11 @@ def bar_coefficient(profile, j) -> Fraction:
         raise ValueError(f"multi-index length {len(j)} != multiplicity {profile.k}")
     if any(v < 0 for v in j):
         raise ValueError("multi-index entries must be non-negative")
-    return Fraction(*_fiber(profile, j[:-1], j[-1:])[0])
+    too_high = [v for v in j[:-1] if v > MAX_DEGREE]
+    if too_high:
+        raise ValueError(f"degree {too_high[0]} above practical ceiling {MAX_DEGREE}")
+    (nums, den), L = _fiber(profile, j[:-1]), profile.total_weight
+    return Fraction((-1) ** L * 2 ** (profile.k + L) * nums[j[-1]] if j[-1] < len(nums) else 0, den)
 
 
 def check_step(T_minus_t) -> None:
@@ -237,22 +244,14 @@ def exact_norm(profile) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _shell(profile: WeightProfile, q: int) -> Dict[tuple, tuple]:
-    """Every reduced coefficient of the shell max(j) = q as ``{j: (n, d)}``, n / d exact.
-
-    A (k-1)-prefix whose max is q takes j_k = 0..q, an older one only j_k = q.
-    With every weight 0 the reflection u -> 1 - u of the simplex gives C_j =
-    (-1)^|j| C_rev(j): compute j <= rev(j) and negate the mirrored numerators.
-    """
-    mirror, shell = profile.total_weight == 0, {}
-    for prefix in product(range(q + 1), repeat=profile.k - 1):
-        last = range(q + 1) if q in prefix else (q,)
-        if mirror:
-            last = [x for x in last if prefix + (x,) <= (x,) + prefix[::-1]]
-        shell.update(zip([prefix + (x,) for x in last], _fiber(profile, prefix, last)))
-    if mirror:
-        shell.update({j[::-1]: (-n, d) if sum(j) % 2 else (n, d) for j, (n, d) in shell.items()})
-    return shell
+def _fibers(profile: WeightProfile, p: int, start: int = 0):
+    """``(prefix, lo, nums, den)``: each (k-1)-prefix's fiber, cut to p, whose x >= lo give the
+    j of {0..p}^k outside {0..start-1}^k; none is read above the integrand's degree."""
+    for prefix in product(range(p + 1), repeat=profile.k - 1):
+        lo = 0 if prefix and max(prefix) >= start else start
+        if lo <= min(p, sum(prefix) + profile.k - 1 + profile.total_weight):
+            nums, den = _fiber(profile, prefix)
+            yield prefix, lo, nums[:p + 1], den
 
 
 class CoeffTensor:
@@ -271,8 +270,10 @@ class CoeffTensor:
     def values(self) -> Dict[tuple, Fraction]:
         """Exact reduced coefficient of each multi-index (j_1 .. j_k, innermost first)
         of the box; not stored, so each access recomputes the whole box."""
-        return {j: Fraction(*nd) for q in range(self.p + 1)
-                for j, nd in _shell(self.profile, q).items()}
+        s = (-1) ** self.profile.total_weight * 2 ** (self.profile.k + self.profile.total_weight)
+        return {prefix + (x,): Fraction(s * nums[x] if x < len(nums) else 0, den)
+                for prefix, _, nums, den in _fibers(self.profile, self.p)
+                for x in range(self.p + 1)}
 
     def scaled_array(self) -> np.ndarray:
         """Dense float array of unit-interval scaled coefficients.
@@ -319,23 +320,21 @@ def build_tensor(profile, p: int) -> CoeffTensor:
     """
     profile = _profile(profile)
     _check_box(profile, p)
-    k, L, start = profile.k, profile.total_weight, 0
-    scaled = np.empty((p + 1,) * k, dtype=np.float64)
+    k, L = profile.k, profile.total_weight
+    sign_scale = (-1) ** L * 2 ** (k + L)
     with _tensor_lock:
         base = _tensor_cache.get(profile)
-    if base is not None and base.p <= p:
-        scaled[(slice(0, base.p + 1),) * k] = base._scaled
-        start = base.p + 1
+    start = base.p + 1 if base is not None and base.p <= p else 0
+    scaled = np.zeros((p + 1,) * k)
+    for prefix, lo, nums, den in _fibers(profile, p, start):
+        # int true division rounds as float(Fraction(n, d)) does; a float sign flip gives -0.0
+        scaled[prefix][lo:len(nums)] = [sign_scale * n / den for n in nums[lo:]]
     root = np.sqrt(2.0 * np.arange(p + 1) + 1.0)
-    for q in range(start, p + 1):
-        shell = _shell(profile, q)
-        idx = tuple(np.array(list(shell)).T)
-        # int true division rounds correctly, as float(Fraction(n, d)) does
-        entries = np.array([n / d for n, d in shell.values()])
-        for axis in range(k):
-            entries *= root[idx[axis]]
-        entries *= 2.0 ** -(k + L)
-        scaled[idx] = entries
+    for axis in range(k):
+        scaled *= root.reshape((-1,) + (1,) * (k - 1 - axis))
+    scaled *= 2.0 ** -(k + L)
+    if start:
+        scaled[(slice(0, start),) * k] = base._scaled
     return CoeffTensor(profile, p, scaled)
 
 
@@ -347,12 +346,13 @@ def parseval_defect(profile, p: int) -> Fraction:
     with _tensor_lock:
         sums = _sq_sum_cache.get(profile, [])
     if len(sums) <= p:
-        sums, scale = list(sums), 4 ** (profile.k + profile.total_weight)
-        for q in range(len(sums), p + 1):
-            # C_j^2 at T - t = 1 is prod(2 j_m + 1) barC_j^2 / 4^(k + sum l)
-            shell = sum(math.prod(2 * jm + 1 for jm in j) * Fraction(n, d) ** 2
-                        for j, (n, d) in _shell(profile, q).items()) / scale
-            sums.append(sums[-1] + shell if sums else shell)
+        shells = [0] * (p + 1 - len(sums))
+        for prefix, lo, nums, den in _fibers(profile, p, len(sums)):
+            for j, n in zip([prefix + (x,) for x in range(lo, len(nums))], nums[lo:]):
+                # C_j^2 at T - t = 1 is prod(2 j_m + 1) (n / den)^2: 4^(k + L) cancels
+                shells[max(j) - len(sums)] += Fraction(
+                    math.prod(2 * jm + 1 for jm in j) * n * n, den * den)
+        sums = sums + list(accumulate(shells, initial=sums[-1] if sums else 0))[1:]
         with _tensor_lock:
             if len(_sq_sum_cache.get(profile, [])) < len(sums):
                 _sq_sum_cache[profile] = sums
@@ -378,10 +378,10 @@ def get_tensor(profile, p: int) -> CoeffTensor:
 
 
 def clear_caches() -> None:
-    """Drop all memoized prefix polynomials, moment columns, tensors and Parseval sums."""
+    """Drop all memoized prefix moments, Bonnet pairs, tensors and Parseval sums."""
     with _cache_lock:
         _prefix_cache.clear()
-        _column_cache.clear()
+        _bonnet_cache.clear()
     with _tensor_lock:
         _tensor_cache.clear()
         _sq_sum_cache.clear()

@@ -1,7 +1,7 @@
-"""Legendre polynomials: exact shifted coefficients for the simplex
-integration in :mod:`stochtaylor.coefficients`, and the floating-point
-orthonormal system on an interval [t, T] for samplers and discretization
-oracles.
+"""Legendre polynomials: exact shifted coefficients in the power basis, the
+degree ceiling that :mod:`stochtaylor.coefficients` enforces, and the
+floating-point orthonormal system on an interval [t, T] for samplers and
+discretization oracles.
 """
 
 from __future__ import annotations

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -16,6 +17,7 @@ from numpy.polynomial.legendre import legval
 import stochtaylor
 from stochtaylor import coefficients
 from stochtaylor.coefficients import (
+    MAX_DEGREE,
     WeightProfile,
     bar_coefficient,
     build_tensor,
@@ -24,6 +26,7 @@ from stochtaylor.coefficients import (
     parseval_defect,
     scaled_coefficient,
 )
+from stochtaylor.legendre import shifted_legendre
 
 
 def quadrature_bar(exponents, j):
@@ -53,6 +56,26 @@ def quadrature_bar(exponents, j):
     return sign * float(rec(len(j) - 1, np.array(1.0)))
 
 
+@functools.cache
+def prefix_poly(steps):
+    """Monomial oracle: the running simplex integral after the (l, j) pairs ``steps``,
+    innermost first, as ``(nums, den)``: ``sum_i nums[i] u^i / den`` in lowest terms."""
+    if not steps:
+        return (1,), 1
+    inner, den = prefix_poly(steps[:-1])
+    l, j = steps[-1]
+    prod = [0] * (len(inner) + j)
+    for a, ca in enumerate(shifted_legendre(j)):
+        for b, cb in enumerate(inner):
+            prod[a + b] += ca * cb
+    # the integrand's u^i term is prod[i - l]; it integrates to u^(i+1)/(i+1)
+    scale = math.lcm(*range(l + 1, l + len(prod) + 1))
+    nums = [0] * (l + 1) + [c * (scale // (i + l + 1)) for i, c in enumerate(prod)]
+    den *= scale
+    g = math.gcd(den, *nums)
+    return tuple(c // g for c in nums), den // g
+
+
 def moment_dot(nums, l, j):
     """Monomial oracle: ``sum_i nums[i] * int_0^1 u^(i+l) P~_j(u) du`` as
     (numerator, denominator).
@@ -75,7 +98,7 @@ def moment_dot(nums, l, j):
 
 def oracle_bar(profile, j):
     """One reduced coefficient by the per-entry Horner sum over the prefix polynomial."""
-    nums, den = coefficients._prefix_poly(tuple(zip(profile[:-1], j[:-1])))
+    nums, den = prefix_poly(tuple(zip(profile[:-1], j[:-1])))
     num, mden = moment_dot(nums, profile[-1], j[-1])
     k, L = len(profile), sum(profile)
     return Fraction((-1) ** L * 2 ** (k + L) * num, den * mden)
@@ -85,7 +108,7 @@ def oracle_bar(profile, j):
 def cold_caches(monkeypatch):
     # private empty caches stand in for clear_caches() and keep the rest of
     # the suite warm
-    for name in ("_prefix_cache", "_column_cache", "_tensor_cache", "_sq_sum_cache"):
+    for name in ("_prefix_cache", "_bonnet_cache", "_tensor_cache", "_sq_sum_cache"):
         monkeypatch.setattr(coefficients, name, {})
 
 
@@ -130,6 +153,18 @@ class TestBarCoefficient:
             WeightProfile((0,) * 7)
         with pytest.raises(ValueError):
             WeightProfile((-1,))
+        with pytest.raises(ValueError, match=r"weight exponents must be in 0..200, got \(0, 201\)"):
+            WeightProfile((0, 201))
+        assert WeightProfile((0, 200)) == (0, 200)
+
+    def test_inner_degree_ceiling(self, cold_caches):
+        # an inner degree above the ceiling fails fast; the outermost one reads a zero
+        for profile, j in [((0, 0), (201, 0)), ((0, 0, 0), (0, 250, 0))]:
+            with pytest.raises(ValueError, match=f"degree {max(j)} above practical ceiling "
+                                                 f"{MAX_DEGREE}"):
+                bar_coefficient(profile, j)
+        assert coefficients._prefix_cache == {}
+        assert bar_coefficient((0, 0), (0, 201)) == 0
 
     def test_fractional_weights_rejected(self):
         with pytest.raises(ValueError, match="weight exponents must be integers, got 0.5"):
@@ -406,65 +441,104 @@ class TestFiberKernel:
         assert cold.values == grown.values
         assert cold.scaled_array().tobytes() == grown.scaled_array().tobytes()
 
-    def test_cold_bar_coefficient_reads_the_columns(self, cold_caches):
+    def test_cold_bar_coefficient_reads_the_moments(self, cold_caches):
         rng = random.Random(5)
         for _ in range(30):
             profile = tuple(rng.randrange(0, 3) for _ in range(rng.randrange(1, 6)))
             j = tuple(rng.randrange(0, 9) for _ in profile)
             assert bar_coefficient(profile, j) == oracle_bar(profile, j)
-        assert coefficients._column_cache
+        # descending inner degrees land below each parent's stored Bonnet pair
+        for j in product(range(6, -1, -1), repeat=3):
+            assert bar_coefficient((1, 0, 1), j) == oracle_bar((1, 0, 1), j), j
+        # each parent keeps one pair (j, P~_{j-1} G, P~_j G) of moment vectors, no list
+        assert coefficients._prefix_cache and coefficients._bonnet_cache
+        assert all(type(i) is int and len(prev) == len(cur) == 2
+                   and len(cur[0]) == len(prev[0]) + (i > 0)
+                   for i, prev, cur in coefficients._bonnet_cache.values())
 
     @pytest.mark.parametrize("k,p", [(2, 10), (3, 7), (4, 4)])
     def test_reversal_identity(self, k, p):
         # u -> 1 - u maps the ordered simplex to itself reversed and
-        # P~_j(1 - u) = (-1)^j P~_j(u), so zero weights give C_j = (-1)^|j| C_rev(j)
+        # P~_j(1 - u) = (-1)^j P~_j(u), so zero weights give C_j = (-1)^|j| C_rev(j);
+        # the kernel computes every entry, so this checks the oracle
         zero = (0,) * k
         for j in product(range(p + 1), repeat=k):
             assert oracle_bar(zero, j) == (-1) ** sum(j) * oracle_bar(zero, j[::-1])
-        # a weight breaks it, so only all-zero profiles are mirrored
+        # a weight breaks it
         weighted = (0,) * (k - 1) + (1,)
         assert any(oracle_bar(weighted, j) != (-1) ** sum(j) * oracle_bar(weighted, j[::-1])
                    for j in product(range(3), repeat=k))
 
     @pytest.mark.parametrize("profile", [(0, 1, 0), (2,), (1, 0, 0, 1), (0, 0, 0)])
-    def test_degree_zero_rule(self, cold_caches, monkeypatch, profile):
-        # the outermost integrand u^l_k F has degree sum_{m<k} (j_m + 1) + sum l;
-        # a last degree above it is zero by orthogonality: the pair (0, 1), with
-        # no _column call
+    def test_degree_zero_rule(self, cold_caches, profile):
+        # the outermost integrand u^l_k F has degree sum_{m<k} (j_m + 1) + sum l; its
+        # fiber holds its moments up to that degree, nonzero at the top, which times
+        # (-1)^L 2^(k+L) are the coefficients; a last degree above it is zero
         k, L, p = len(profile), sum(profile), 5
         values = build_tensor(profile, p).values
-        column, calls = coefficients._column, []
-        monkeypatch.setattr(coefficients, "_column", lambda *a: calls.append(a) or column(*a))
-        for j in product(range(p + 1), repeat=k):
-            top = sum(j[:-1]) + k - 1 + L
-            calls.clear()
-            pair = coefficients._fiber(WeightProfile(profile), j[:-1], j[-1:])[0]
-            if j[-1] > top:
-                assert (pair, calls) == ((0, 1), [])
-                assert oracle_bar(profile, j) == 0 == values[j]
-            else:
-                assert len(calls) == 1
-                assert Fraction(*pair) == values[j] == oracle_bar(profile, j)
-                if j[-1] == top:
-                    assert values[j] != 0
+        for prefix in product(range(p + 1), repeat=k - 1):
+            top = sum(prefix) + k - 1 + L
+            nums, den = coefficients._fiber(WeightProfile(profile), prefix)
+            assert len(nums) == top + 1 and nums[top] != 0
+            for x in range(p + 1):
+                j = prefix + (x,)
+                value = Fraction((-1) ** L * 2 ** (k + L) * nums[x], den) if x <= top else 0
+                assert value == values[j] == oracle_bar(profile, j), j
 
-    def test_column_closed_form_and_extension(self, cold_caches):
-        for j in (0, 3, 7):
-            E, col = coefficients._column(j, 40)
-            assert [Fraction(c, E) for c in col] == [
-                Fraction(math.factorial(n) ** 2,
-                         math.factorial(n - j) * math.factorial(n + j + 1)) if n >= j else 0
-                for n in range(41)]
-            coefficients._column_cache.clear()
-            coefficients._column(j, 5)
-            E2, col2 = coefficients._column(j, 40)
-            assert (E2, col2) == (E, col)
+    def test_moment_operators_match_closed_form(self):
+        # int_0^1 u^n P~_j(u) du = n!^2 / ((n-j)! (n+j+1)!) for j <= n, zero above
+        f = math.factorial
 
-    def test_clear_caches_drops_columns(self, cold_caches):
+        def closed(n):
+            return [Fraction(f(n) ** 2, f(n - j) * f(n + j + 1)) for j in range(n + 1)]
+
+        def moments(nums, den):
+            return [Fraction(c, den) for c in nums]
+
+        g = ((1,), 1)
+        for n in range(15):
+            assert moments(*g) == closed(n)
+            # (2u - 1) u^n = 2 u^(n+1) - u^n, and int_0^u s^n = u^(n+1) / (n+1)
+            assert moments(*coefficients._times_x(*g)) == [
+                2 * a - b for a, b in zip(closed(n + 1), closed(n) + [0])]
+            assert moments(*coefficients._integral(*g)) == [a / (n + 1) for a in closed(n + 1)]
+            g = coefficients._times_u(*g, 1)
+
+    def test_clear_caches_drops_moments(self, cold_caches):
         build_tensor((0, 1, 0), 3)
-        assert coefficients._column_cache and coefficients._prefix_cache
+        assert coefficients._bonnet_cache and coefficients._prefix_cache
         coefficients.clear_caches()
-        assert coefficients._column_cache == {} and coefficients._prefix_cache == {}
+        assert coefficients._bonnet_cache == {} and coefficients._prefix_cache == {}
+
+    def test_concurrent_growth_matches_cold_build(self, cold_caches):
+        # threads grow one profile at once, sharing prefix moments and Bonnet pairs
+        profile, caps, results = (0, 0, 0), [3, 10, 6, 9, 1, 8, 10, 5] * 2, {}
+
+        def run(i, p):
+            results[i] = get_tensor(profile, p)
+
+        threads = [threading.Thread(target=run, args=item) for item in enumerate(caps)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        grown = get_tensor(profile, 10)
+        assert all(results[i].p >= p for i, p in enumerate(caps))
+        values = grown.values
+        assert all(value == oracle_bar(profile, j) for j, value in values.items())
+        coefficients.clear_caches()
+        cold = build_tensor(profile, 10)
+        assert cold.scaled_array().tobytes() == grown.scaled_array().tobytes()
+        for i, p in enumerate(caps):
+            box = (slice(0, p + 1),) * 3
+            assert (results[i].scaled_array()[box].tobytes()
+                    == cold.scaled_array()[box].tobytes())
 
 
 # sha256 of repr(sorted((j, numerator, denominator))) over the full box,

@@ -386,7 +386,7 @@ class TestStructure:
 
     def test_clear_caches_drops_errors(self, monkeypatch):
         # private empty caches, so clearing them leaves the rest of the suite warm
-        for name in ("_prefix_cache", "_tensor_cache", "_sq_sum_cache"):
+        for name in ("_prefix_cache", "_bonnet_cache", "_tensor_cache", "_sq_sum_cache"):
             monkeypatch.setattr(coefficients, name, {})
         profile, pattern = (0, 1, 0), IndexPattern.distinct(3)
         first = normalized_error(profile, pattern, 2)

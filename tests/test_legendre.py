@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from stochtaylor.coefficients import _prefix_poly
+from stochtaylor.coefficients import _prefix
 from stochtaylor.legendre import eval_phi, legendre_value, shifted_legendre
+from test_coefficients import prefix_poly
 
 
 def rodrigues_shifted(j):
@@ -72,12 +73,19 @@ def test_parity(j):
 
 
 def test_antiderivative_examples():
-    # the kernel's integer antiderivative from 0: (numerators of u^0, u^1, ...), denominator
-    assert _prefix_poly(((0, 0),)) == ((0, 1), 1)  # int_0^u 1 = u
-    assert _prefix_poly(((1, 0),)) == ((0, 0, 1), 2)  # int_0^u s = u^2/2
-    assert _prefix_poly(((0, 1),)) == ((0, -1, 1), 1)  # int_0^u (2s - 1) = u^2 - u
+    # the oracle's integer antiderivative from 0: (numerators of u^0, u^1, ...), denominator
+    assert prefix_poly(((0, 0),)) == ((0, 1), 1)  # int_0^u 1 = u
+    assert prefix_poly(((1, 0),)) == ((0, 0, 1), 2)  # int_0^u s = u^2/2
+    assert prefix_poly(((0, 1),)) == ((0, -1, 1), 1)  # int_0^u (2s - 1) = u^2 - u
     # int_0^u s (s^2 - s) ds = u^4/4 - u^3/3
-    assert _prefix_poly(((0, 1), (1, 0))) == ((0, 0, 0, -4, 3), 12)
+    assert prefix_poly(((0, 1), (1, 0))) == ((0, 0, 0, -4, 3), 12)
+    # the kernel holds the same polynomials by their moments against P~_0, P~_1, ...
+    for steps in [((0, 0),), ((1, 0),), ((0, 1),), ((0, 1), (1, 0)), ((2, 3), (0, 5), (1, 2))]:
+        nums, den = prefix_poly(steps)
+        moments = [integral_01(multiply([Fraction(c, den) for c in nums], shifted_legendre(n)))
+                   for n in range(len(nums))]
+        got, got_den = _prefix(steps)
+        assert [Fraction(c, got_den) for c in got] == moments
 
 
 def test_orthogonality_exact():

@@ -93,29 +93,25 @@ class TestMinimalOrder:
     def test_search_builds_each_entry_once_up_to_the_answer(self, monkeypatch,
                                                             profile, exp, h, q):
         # private empty caches stand in for clear_caches() and keep the rest
-        # of the suite warm
-        for name in ("_prefix_cache", "_tensor_cache"):
+        # of the suite warm; the prefix cache records every moment vector stored
+        stored = []
+
+        class RecordingCache(dict):
+            def setdefault(self, key, value):
+                stored.append(key)
+                return super().setdefault(key, value)
+
+        monkeypatch.setattr(coefficients, "_prefix_cache", RecordingCache())
+        for name in ("_bonnet_cache", "_tensor_cache"):
             monkeypatch.setattr(coefficients, name, {})
-        computed = []
-        fiber = coefficients._fiber
-
-        def counting_fiber(profile, prefix, last):
-            computed.extend(prefix + (x,) for x in last)
-            return fiber(profile, prefix, last)
-
-        monkeypatch.setattr(coefficients, "_fiber", counting_fiber)
         k = len(profile)
         assert minimal_order(profile, IndexPattern.distinct(k), Condition(exp), h) == q
         assert coefficients._tensor_cache[profile].p == q
-        # every entry of the box up to q is computed once, zero ones included;
-        # with zero weights only j <= rev(j) is, and the rest is mirrored
-        box = set(product(range(q + 1), repeat=k))
-        assert len(set(computed)) == len(computed)
-        mirrored = {j[::-1] for j in computed} - set(computed) if not any(profile) else set()
-        assert set(computed) | mirrored == box
-        assert len(computed) + len(mirrored) == (q + 1) ** k
-        if not any(profile):
-            assert set(computed) == {j for j in box if j <= j[::-1]}
+        # each (k-1)-prefix moment vector of the box {0..q}^k is computed exactly
+        # once, shorter prefixes too, and none beyond the answer
+        box = {tuple(zip(profile, a)) for m in range(1, k)
+               for a in product(range(q + 1), repeat=m)}
+        assert len(stored) == len(set(stored)) and set(stored) == box
 
     def test_fractional_weights_rejected(self):
         with pytest.raises(ValueError, match="weight exponents must be integers, got 0.9"):
