@@ -257,14 +257,15 @@ def _fibers(profile: WeightProfile, p: int, start: int = 0):
 class CoeffTensor:
     """All reduced coefficients of one profile over the box {0..p}^k.
 
-    Immutable after construction.  It stores only the float array that
-    ``build_tensor`` rounds the exact coefficients into.
+    Floats only: one immutable array of every (k-1)-prefix's whole fiber as ``build_tensor``
+    rounds it, and the ``product_sum`` memo, shared with the tensors grown from this one.
     """
 
-    def __init__(self, profile: WeightProfile, p: int, scaled: np.ndarray):
+    def __init__(self, profile: WeightProfile, p: int, store: np.ndarray, sums=None):
         self.profile = _profile(profile)
         self.p = int(p)
-        self._scaled = scaled
+        self._store = store
+        self._sums = {} if sums is None else sums
 
     @property
     def values(self) -> Dict[tuple, Fraction]:
@@ -280,16 +281,24 @@ class CoeffTensor:
 
         Entry ``j`` is ``prod sqrt(2 j_m + 1) * 2^-(k + sum l) * barC_j``,
         i.e. the Fourier coefficient at T - t = 1 with the ``(T-t)`` power
-        stripped; shape ``(p+1,) * k``.
+        stripped; shape ``(p+1,) * k``, a view of the fiber store.
         """
-        return self._scaled
+        return self._store[..., :self.p + 1]
+
+    def product_sum(self, p: int, axes: tuple) -> float:
+        """``sum_j C_j C_{pi j}`` over {0..p}^k at T-t = 1, pi the axis permutation ``axes``,
+        memoized per (p, axes) (racing threads store one float twice); p <= self.p."""
+        total = self._sums.get((p, axes))
+        if total is None:
+            arr = self._store[(slice(0, p + 1),) * self.profile.k]
+            total = self._sums[p, axes] = accurate_sum(arr * np.transpose(arr, axes))
+        return total
 
     def squared_sum_float(self, p: int) -> float:
         """Parseval sum over {0..p}^k at T-t = 1: the distinct-pattern error's reduction."""
         if not 0 <= p <= self.p:
             raise ValueError(f"requested p={p} outside the tensor's caps 0..{self.p}")
-        arr = self._scaled[(slice(0, p + 1),) * self.profile.k]
-        return accurate_sum(arr * arr)
+        return self.product_sum(p, tuple(range(self.profile.k)))
 
 
 # largest tensor built so far per profile, reused by planner and errors; and
@@ -314,9 +323,9 @@ def _check_box(profile: WeightProfile, p: int) -> None:
 def build_tensor(profile, p: int) -> CoeffTensor:
     """Compute every reduced coefficient over the box {0..p}^k, rounded to float.
 
-    Deterministic.  The cached tensor of the profile, when its cap is at most
-    ``p``, is extended over the new shells max(j) = q only: its float entries
-    are copied, and each new entry is computed once; ``_check_box`` says what it rejects.
+    Deterministic.  The cached tensor of the profile, when its cap is at most ``p``, is
+    extended by the prefixes with a degree above that cap only, each fiber read once; its
+    moments then leave ``_prefix_cache``.  ``_check_box`` says what it rejects.
     """
     profile = _profile(profile)
     _check_box(profile, p)
@@ -325,17 +334,21 @@ def build_tensor(profile, p: int) -> CoeffTensor:
     with _tensor_lock:
         base = _tensor_cache.get(profile)
     start = base.p + 1 if base is not None and base.p <= p else 0
-    scaled = np.zeros((p + 1,) * k)
-    for prefix, lo, nums, den in _fibers(profile, p, start):
-        # int true division rounds as float(Fraction(n, d)) does; a float sign flip gives -0.0
-        scaled[prefix][lo:len(nums)] = [sign_scale * n / den for n in nums[lo:]]
-    root = np.sqrt(2.0 * np.arange(p + 1) + 1.0)
+    width = max(p + 1, (k - 1) * (p + 1) + L + 1)  # the longest fiber, prefix (p, .., p)
+    store = np.zeros((p + 1,) * (k - 1) + (width,))
+    for prefix in product(range(p + 1), repeat=k - 1):
+        if max(prefix, default=0) >= start:  # k = 1: one fiber, read when cold
+            nums, den = _fiber(profile, prefix)
+            _prefix_cache.pop(tuple(zip(profile, prefix)), None)
+            # int true division rounds as float(Fraction(n, d)) does; a float sign flip gives -0.0
+            store[prefix][:len(nums)] = [sign_scale * n / den for n in nums]
+    root = np.sqrt(2.0 * np.arange(width) + 1.0)
     for axis in range(k):
-        scaled *= root.reshape((-1,) + (1,) * (k - 1 - axis))
-    scaled *= 2.0 ** -(k + L)
+        store *= root[:store.shape[axis]].reshape((-1,) + (1,) * (k - 1 - axis))
+    store *= 2.0 ** -(k + L)
     if start:
-        scaled[(slice(0, start),) * k] = base._scaled
-    return CoeffTensor(profile, p, scaled)
+        store[tuple(slice(0, n) for n in base._store.shape)] = base._store
+    return CoeffTensor(profile, p, store, base._sums if start else None)
 
 
 def parseval_defect(profile, p: int) -> Fraction:
@@ -378,7 +391,8 @@ def get_tensor(profile, p: int) -> CoeffTensor:
 
 
 def clear_caches() -> None:
-    """Drop all memoized prefix moments, Bonnet pairs, tensors and Parseval sums."""
+    """Drop all memoized prefix moments, Bonnet pairs, tensors with their error sums, and
+    Parseval sums."""
     with _cache_lock:
         _prefix_cache.clear()
         _bonnet_cache.clear()

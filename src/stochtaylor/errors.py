@@ -13,15 +13,14 @@ comparison; it is the quantity whose removal motivates the exact rule.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterator, Tuple
 
-import numpy as np
-
-from .coefficients import (WeightProfile, accurate_sum, as_int, check_cap, check_step, exact_norm,
-                           get_tensor)
+from .coefficients import (WeightProfile, _profile, accurate_sum, as_int, check_cap, check_step,
+                           exact_norm, get_tensor)
 
 __all__ = [
     "IndexPattern",
@@ -138,16 +137,21 @@ def at_step(normalized: float, profile: WeightProfile, T_minus_t: float) -> floa
     raise ValueError(f"T_minus_t={T_minus_t!r} ** {profile.norm_exponent} overflows a float")
 
 
+@functools.cache
+def _axes(k: int, blocks: tuple) -> tuple:
+    return tuple(IndexPattern(k, blocks).axis_permutations())
+
+
 def normalized_error(profile, pattern: IndexPattern, p: int) -> float:
-    """Truncation error at T - t = 1, normalization of the error tables."""
-    profile = WeightProfile(profile)
+    """Truncation error at T - t = 1, normalization of the error tables; each
+    permutation's box sum is memoized on the profile's cached tensor."""
+    profile = _profile(profile)
     if pattern.k != profile.k:
         raise ValueError(f"pattern multiplicity {pattern.k} != profile {profile.k}")
     tensor = get_tensor(profile, p)
-    arr = tensor.scaled_array()[(slice(0, p + 1),) * profile.k]
     total = 0.0
-    for axes in pattern.axis_permutations():
-        total += accurate_sum(arr * np.transpose(arr, axes))
+    for axes in _axes(pattern.k, pattern.blocks):
+        total += tensor.product_sum(p, axes)
     raw = float(exact_norm(profile)) - total
     if raw < -1e-9:
         raise ArithmeticError(

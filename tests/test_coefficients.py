@@ -263,7 +263,12 @@ class TestTensor:
 
     def test_store_holds_the_float_array_only(self):
         t = build_tensor((0, 1), 2)
-        assert set(vars(t)) == {"profile", "p", "_scaled"}
+        # one float array of the whole fibers, and a memo of float box sums
+        assert set(vars(t)) == {"profile", "p", "_store", "_sums"}
+        assert t._store.dtype == np.float64 and t._sums == {}
+        assert np.shares_memory(t.scaled_array(), t._store)
+        t.squared_sum_float(2)
+        assert [type(v) for v in t._sums.values()] == [float]
         assert t.values is not t.values  # recomputed on each access, never kept
         assert t.values == {j: bar_coefficient((0, 1), j) for j in product(range(3), repeat=2)}
 
@@ -283,7 +288,8 @@ class TestTensor:
         assert grown.scaled_array().tobytes() == expected
 
     def test_warm_rebuild_retains_only_floats(self, cold_caches):
-        # the float array of a (0,0,0) box at p = 30 is 31^3 * 8 B = 0.23 MiB
+        # the float store of (0,0,0) at p = 30, 31^2 fibers of up to 63 entries,
+        # is 31^2 * 63 * 8 B = 0.46 MiB
         build_tensor((0, 0, 0), 30)
         tracemalloc.start()
         try:
@@ -440,6 +446,28 @@ class TestFiberKernel:
         cold = build_tensor(profile, p)
         assert cold.values == grown.values
         assert cold.scaled_array().tobytes() == grown.scaled_array().tobytes()
+
+    @pytest.mark.parametrize("profile,p", [((0, 0, 0), 8), ((0,) * 4, 5), ((0, 0, 3), 6)])
+    def test_growth_reads_each_fiber_once(self, cold_caches, monkeypatch, profile, p):
+        # a tensor keeps every prefix's whole fiber, so a one-shell growth reads
+        # only the prefixes with a new degree; each read leaves _prefix_cache
+        reads, fiber = [], coefficients._fiber
+
+        def spy(prof, prefix):
+            reads.append(prefix)
+            return fiber(prof, prefix)
+
+        monkeypatch.setattr(coefficients, "_fiber", spy)
+        for q in range(p + 1):
+            grown = get_tensor(profile, q)
+        k = len(profile)
+        assert sorted(reads) == list(product(range(p + 1), repeat=k - 1))
+        leaves = {tuple(zip(profile, a)) for a in reads}
+        assert coefficients._prefix_cache and not leaves & coefficients._prefix_cache.keys()
+        coefficients.clear_caches()
+        cold = build_tensor(profile, p)
+        assert cold.scaled_array().tobytes() == grown.scaled_array().tobytes()
+        assert cold._store.tobytes() == grown._store.tobytes()
 
     def test_cold_bar_coefficient_reads_the_moments(self, cold_caches):
         rng = random.Random(5)

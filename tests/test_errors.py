@@ -8,6 +8,9 @@ figures.
 """
 
 import math
+import random
+import sys
+import threading
 from itertools import permutations, product
 
 import numpy as np
@@ -17,6 +20,7 @@ from stochtaylor import coefficients
 from stochtaylor.coefficients import (
     WeightProfile,
     bar_coefficient,
+    build_tensor,
     clear_caches,
     exact_norm,
     get_tensor,
@@ -30,6 +34,7 @@ from stochtaylor.errors import (
     exact_error,
     normalized_error,
 )
+from stochtaylor.planner import case_catalog
 
 
 def _bar(profile, j):
@@ -401,10 +406,61 @@ class TestStructure:
         monkeypatch.setattr(coefficients, "build_tensor", counting_build_tensor)
         assert normalized_error(profile, pattern, 2) == first
         assert builds == []  # warm: served from the tensor cache
+        memo = coefficients._tensor_cache[profile]._sums
+        assert memo  # the box sums live on the cached tensor
         clear_caches()
-        assert coefficients._sq_sum_cache == {}
+        assert coefficients._sq_sum_cache == {} and coefficients._tensor_cache == {}
         assert normalized_error(profile, pattern, 2) == first
         assert builds == [((0, 1, 0), 2)]  # cold again: recomputed from a new tensor
+        assert coefficients._tensor_cache[profile]._sums is not memo
+
+    def test_error_memo_is_exact(self, monkeypatch):
+        # every permutation's box sum is memoized per (profile, cap, axes); the
+        # memoized error must equal the direct sum bit for bit, whatever the probe
+        # order, after clear_caches() and with a larger tensor cached first
+        for name in ("_prefix_cache", "_bonnet_cache", "_tensor_cache", "_sq_sum_cache"):
+            monkeypatch.setattr(coefficients, name, {})
+        cases = [(pr, pat) for letter in "abcd" for _, pr, pat in case_catalog(3, letter)]
+        cases += [(pr, pat) for _, pr, pat in case_catalog(4)]
+        boxes = {pr: build_tensor(pr, 6).scaled_array() for pr, _ in cases}
+        clear_caches()
+
+        def oracle(profile, pattern, p):
+            arr, total = boxes[profile][(slice(0, p + 1),) * profile.k], 0.0
+            for axes in pattern.axis_permutations():
+                total += accurate_sum(arr * np.transpose(arr, axes))
+            return max(float(exact_norm(profile)) - total, 0.0)
+
+        expected = {(pr, pat, p): oracle(pr, pat, p) for pr, pat in cases for p in range(7)}
+        rng = random.Random(23)
+        for warm in ("cold", "cleared", "larger"):
+            if warm == "larger":
+                for pr, _ in cases:
+                    get_tensor(pr, 9)
+            probes = list(expected)
+            rng.shuffle(probes)
+            for key in probes:
+                assert normalized_error(*key) == expected[key], (warm, key)
+            clear_caches()
+        # threads grow the tensors and fill their memos at once
+        probes, results = list(expected), {}
+
+        def run(offset):
+            for key in probes[offset::8]:
+                results[key] = normalized_error(*key)
+
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == expected
 
     def test_result_fields(self):
         e = exact_error((0, 1), IndexPattern.distinct(2), 3, 0.5)
