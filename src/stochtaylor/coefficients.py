@@ -21,7 +21,7 @@ import functools
 import math
 import threading
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import product
 from typing import Dict
 
 import numpy as np
@@ -52,6 +52,8 @@ class WeightProfile(tuple):
     """Weight exponents (l_1 .. l_k), each 0..200, of one iterated integral, 1 <= k <= 6."""
 
     def __new__(cls, exponents):
+        if isinstance(exponents, WeightProfile):
+            return exponents
         exps = tuple(as_int(l, "weight exponents") for l in exponents)
         if not 1 <= len(exps) <= MAX_MULTIPLICITY:
             raise ValueError(f"multiplicity must be 1..{MAX_MULTIPLICITY}, got {len(exps)}")
@@ -76,10 +78,6 @@ class WeightProfile(tuple):
         return "".join(str(l) for l in self)
 
 
-def _profile(profile) -> WeightProfile:
-    return profile if isinstance(profile, WeightProfile) else WeightProfile(profile)
-
-
 # ---------------------------------------------------------------------------
 # reduced coefficients, integrated in u = (1 + x) / 2 over the [0, 1] simplex
 # ---------------------------------------------------------------------------
@@ -88,7 +86,7 @@ def _profile(profile) -> WeightProfile:
 # ((l_1, j_1), ..., (l_m, j_m)), and per (F, l) the Bonnet pair (j, P~_{j-1} G, P~_j G), G = u^l F
 _prefix_cache: Dict[tuple, tuple] = {}
 _bonnet_cache: Dict[tuple, tuple] = {}
-_cache_lock = threading.Lock()
+_lock = threading.Lock()
 
 
 @functools.cache
@@ -144,7 +142,7 @@ def _prefix(steps: tuple) -> tuple:
         i, prev, cur = i + 1, cur, _reduced(
             [a * c - b * d for c, d in zip(xnums, (*prev[0], 0, 0))], den * (i + 1))
     moments = _integral(*cur)
-    with _cache_lock:
+    with _lock:
         _bonnet_cache[parent, l] = (i, prev, cur)
         return _prefix_cache.setdefault(steps, moments)
 
@@ -166,7 +164,7 @@ def bar_coefficient(profile, j) -> Fraction:
     ``prod_m P~_{j_m}(u_m) u_m^{l_m}`` over ``0 <= u_1 <= ... <= u_k <= 1``:
     one read of the fiber of ``j[:-1]``, whose degrees must be at most ``MAX_DEGREE``.
     """
-    profile = _profile(profile)
+    profile = WeightProfile(profile)
     j = tuple(int(v) for v in j)
     if len(j) != profile.k:
         raise ValueError(f"multi-index length {len(j)} != multiplicity {profile.k}")
@@ -214,7 +212,7 @@ def scaled_coefficient(profile, j, T_minus_t: float) -> float:
 
     ``C = prod_m sqrt(2 j_m + 1) * (T-t)^(k/2 + sum l) * 2^-(k + sum l) * barC``.
     """
-    profile = _profile(profile)
+    profile = WeightProfile(profile)
     check_step(T_minus_t)
     bar = bar_coefficient(profile, j)
     scale = 1.0
@@ -233,7 +231,7 @@ def exact_norm(profile) -> Fraction:
     its square is ``1 / prod_m s_m`` with ``s_m = sum_{i <= m} (2 l_i + 1)``.
     """
     den, s = 1, 0
-    for l in _profile(profile):
+    for l in WeightProfile(profile):
         s += 2 * l + 1
         den *= s
     return Fraction(1, den)
@@ -244,14 +242,12 @@ def exact_norm(profile) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _fibers(profile: WeightProfile, p: int, start: int = 0):
-    """``(prefix, lo, nums, den)``: each (k-1)-prefix's fiber, cut to p, whose x >= lo give the
-    j of {0..p}^k outside {0..start-1}^k; none is read above the integrand's degree."""
+def _fibers(profile: WeightProfile, p: int):
+    """``(prefix, nums, den)`` per (k-1)-prefix of {0..p}^(k-1): its fiber's moments cut to p;
+    the last degrees past ``len(nums)`` are zero."""
     for prefix in product(range(p + 1), repeat=profile.k - 1):
-        lo = 0 if prefix and max(prefix) >= start else start
-        if lo <= min(p, sum(prefix) + profile.k - 1 + profile.total_weight):
-            nums, den = _fiber(profile, prefix)
-            yield prefix, lo, nums[:p + 1], den
+        nums, den = _fiber(profile, prefix)
+        yield prefix, nums[:p + 1], den
 
 
 class CoeffTensor:
@@ -262,7 +258,7 @@ class CoeffTensor:
     """
 
     def __init__(self, profile: WeightProfile, p: int, store: np.ndarray, sums=None):
-        self.profile = _profile(profile)
+        self.profile = WeightProfile(profile)
         self.p = int(p)
         self._store = store
         self._sums = {} if sums is None else sums
@@ -273,7 +269,7 @@ class CoeffTensor:
         of the box; not stored, so each access recomputes the whole box."""
         s = (-1) ** self.profile.total_weight * 2 ** (self.profile.k + self.profile.total_weight)
         return {prefix + (x,): Fraction(s * nums[x] if x < len(nums) else 0, den)
-                for prefix, _, nums, den in _fibers(self.profile, self.p)
+                for prefix, nums, den in _fibers(self.profile, self.p)
                 for x in range(self.p + 1)}
 
     def scaled_array(self) -> np.ndarray:
@@ -301,23 +297,24 @@ class CoeffTensor:
         return self.product_sum(p, tuple(range(self.profile.k)))
 
 
-# largest tensor built so far per profile, reused by planner and errors; and
-# per profile the exact Parseval sums over {0..q}^k for q = 0, 1, ...
+# largest tensor built so far per profile, reused by planner and errors
 _tensor_cache: Dict[WeightProfile, CoeffTensor] = {}
-_sq_sum_cache: Dict[WeightProfile, list] = {}
-_tensor_lock = threading.Lock()
 
 
-def _check_box(profile: WeightProfile, p: int) -> None:
-    """Reject a box of more than ``ENTRY_CEILING`` entries or, for k >= 2, a cap above the
-    Legendre degree ceiling (the inner polynomials need degree p; k = 1 has none)."""
+def _check_store(profile: WeightProfile, p: int) -> tuple:
+    """The shape of the cap-p fiber store: the (k-1)-prefixes by the longest fiber, that of
+    prefix (p, .., p).  Rejects a store of more than ``ENTRY_CEILING`` floats or, for k >= 2,
+    a cap above the Legendre degree ceiling (the inner polynomials need degree p; k = 1 has
+    none)."""
     check_cap(p)
-    k, n_entries = profile.k, (p + 1) ** profile.k
+    k = profile.k
     if k >= 2 and p > MAX_DEGREE:
         raise ValueError(f"cap p={p} above the Legendre degree ceiling {MAX_DEGREE} "
                          f"for multiplicity {k}")
-    if n_entries > ENTRY_CEILING:
-        raise ValueError(f"box {(p + 1)}^{k} = {n_entries} entries exceeds ceiling {ENTRY_CEILING}")
+    shape = (p + 1,) * (k - 1) + (max(p + 1, (k - 1) * (p + 1) + profile.total_weight + 1),)
+    if (n := math.prod(shape)) > ENTRY_CEILING:
+        raise ValueError(f"store shape {shape} = {n} floats exceeds ceiling {ENTRY_CEILING}")
+    return shape
 
 
 def build_tensor(profile, p: int) -> CoeffTensor:
@@ -325,63 +322,52 @@ def build_tensor(profile, p: int) -> CoeffTensor:
 
     Deterministic.  The cached tensor of the profile, when its cap is at most ``p``, is
     extended by the prefixes with a degree above that cap only, each fiber read once; its
-    moments then leave ``_prefix_cache``.  ``_check_box`` says what it rejects.
+    moments then leave ``_prefix_cache``.  ``_check_store`` says what it rejects.
     """
-    profile = _profile(profile)
-    _check_box(profile, p)
-    k, L = profile.k, profile.total_weight
-    sign_scale = (-1) ** L * 2 ** (k + L)
-    with _tensor_lock:
+    profile = WeightProfile(profile)
+    store = np.zeros(_check_store(profile, p))
+    k, sign = profile.k, (-1) ** profile.total_weight
+    with _lock:
         base = _tensor_cache.get(profile)
     start = base.p + 1 if base is not None and base.p <= p else 0
-    width = max(p + 1, (k - 1) * (p + 1) + L + 1)  # the longest fiber, prefix (p, .., p)
-    store = np.zeros((p + 1,) * (k - 1) + (width,))
     for prefix in product(range(p + 1), repeat=k - 1):
         if max(prefix, default=0) >= start:  # k = 1: one fiber, read when cold
             nums, den = _fiber(profile, prefix)
             _prefix_cache.pop(tuple(zip(profile, prefix)), None)
-            # int true division rounds as float(Fraction(n, d)) does; a float sign flip gives -0.0
-            store[prefix][:len(nums)] = [sign_scale * n / den for n in nums]
-    root = np.sqrt(2.0 * np.arange(width) + 1.0)
+            # C_j = prod sqrt(2 j_m + 1) (-1)^L n / den at T - t = 1: 2^(k+L) cancels.  Int
+            # true division rounds as float(Fraction(n, d)) does; a float sign flip gives -0.0
+            store[prefix][:len(nums)] = [sign * n / den for n in nums]
+    root = np.sqrt(2.0 * np.arange(store.shape[-1]) + 1.0)
     for axis in range(k):
         store *= root[:store.shape[axis]].reshape((-1,) + (1,) * (k - 1 - axis))
-    store *= 2.0 ** -(k + L)
     if start:
         store[tuple(slice(0, n) for n in base._store.shape)] = base._store
     return CoeffTensor(profile, p, store, base._sums if start else None)
 
 
 def parseval_defect(profile, p: int) -> Fraction:
-    """Exact rational defect ``I_k - sum C^2`` over {0..p}^k at T - t = 1, from the
-    profile's cached exact sums, extended shell by shell."""
-    profile = _profile(profile)
-    _check_box(profile, p)
-    with _tensor_lock:
-        sums = _sq_sum_cache.get(profile, [])
-    if len(sums) <= p:
-        shells = [0] * (p + 1 - len(sums))
-        for prefix, lo, nums, den in _fibers(profile, p, len(sums)):
-            for j, n in zip([prefix + (x,) for x in range(lo, len(nums))], nums[lo:]):
-                # C_j^2 at T - t = 1 is prod(2 j_m + 1) (n / den)^2: 4^(k + L) cancels
-                shells[max(j) - len(sums)] += Fraction(
-                    math.prod(2 * jm + 1 for jm in j) * n * n, den * den)
-        sums = sums + list(accumulate(shells, initial=sums[-1] if sums else 0))[1:]
-        with _tensor_lock:
-            if len(_sq_sum_cache.get(profile, [])) < len(sums):
-                _sq_sum_cache[profile] = sums
-    return exact_norm(profile) - sums[p]
+    """Exact rational defect ``I_k - sum C^2`` over {0..p}^k at T - t = 1, summed over
+    ``_fibers`` on each call; it builds no tensor and is rejected as ``build_tensor`` is."""
+    profile = WeightProfile(profile)
+    _check_store(profile, p)
+    total = Fraction(0)
+    for prefix, nums, den in _fibers(profile, p):
+        # C_j^2 at T - t = 1 is prod(2 j_m + 1) (n / den)^2: 4^(k + L) cancels
+        total += Fraction(math.prod(2 * jm + 1 for jm in prefix)
+                          * sum((2 * x + 1) * n * n for x, n in enumerate(nums)), den * den)
+    return exact_norm(profile) - total
 
 
 def get_tensor(profile, p: int) -> CoeffTensor:
     """Shared tensor cache: returns a tensor with cap >= p for ``profile``."""
     check_cap(p)  # a cached tensor would read p = -1 as its top level
-    profile = _profile(profile)
-    with _tensor_lock:
+    profile = WeightProfile(profile)
+    with _lock:
         cached = _tensor_cache.get(profile)
     if cached is not None and cached.p >= p:
         return cached
     tensor = build_tensor(profile, p)
-    with _tensor_lock:
+    with _lock:
         prev = _tensor_cache.get(profile)
         if prev is None or prev.p < tensor.p:
             _tensor_cache[profile] = tensor
@@ -391,11 +377,9 @@ def get_tensor(profile, p: int) -> CoeffTensor:
 
 
 def clear_caches() -> None:
-    """Drop all memoized prefix moments, Bonnet pairs, tensors with their error sums, and
-    Parseval sums."""
-    with _cache_lock:
+    """Drop every module-level cache: the prefix moments, the Bonnet pairs and the tensors
+    with their error sums."""
+    with _lock:
         _prefix_cache.clear()
         _bonnet_cache.clear()
-    with _tensor_lock:
         _tensor_cache.clear()
-        _sq_sum_cache.clear()

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from typing import Iterator, Tuple
 
-from .coefficients import (WeightProfile, _profile, accurate_sum, as_int, check_cap, check_step,
+from .coefficients import (WeightProfile, accurate_sum, as_int, check_cap, check_step,
                            exact_norm, get_tensor)
 
 __all__ = [
@@ -145,7 +145,7 @@ def _axes(k: int, blocks: tuple) -> tuple:
 def normalized_error(profile, pattern: IndexPattern, p: int) -> float:
     """Truncation error at T - t = 1, normalization of the error tables; each
     permutation's box sum is memoized on the profile's cached tensor."""
-    profile = _profile(profile)
+    profile = WeightProfile(profile)
     if pattern.k != profile.k:
         raise ValueError(f"pattern multiplicity {pattern.k} != profile {profile.k}")
     tensor = get_tensor(profile, p)

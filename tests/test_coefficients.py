@@ -26,6 +26,7 @@ from stochtaylor.coefficients import (
     parseval_defect,
     scaled_coefficient,
 )
+from stochtaylor.errors import IndexPattern, normalized_error
 from stochtaylor.legendre import shifted_legendre
 
 
@@ -108,7 +109,7 @@ def oracle_bar(profile, j):
 def cold_caches(monkeypatch):
     # private empty caches stand in for clear_caches() and keep the rest of
     # the suite warm
-    for name in ("_prefix_cache", "_bonnet_cache", "_tensor_cache", "_sq_sum_cache"):
+    for name in ("_prefix_cache", "_bonnet_cache", "_tensor_cache"):
         monkeypatch.setattr(coefficients, name, {})
 
 
@@ -261,6 +262,23 @@ class TestTensor:
         assert build_tensor((0, 0, 0), 1).values[(0, 0, 0)] == Fraction(4, 3)
         assert build_tensor((0,) * 5, 0).values[(0,) * 5] == Fraction(4, 15)
 
+    def test_clear_caches_empties_every_module_dict(self, cold_caches):
+        # every module-level dict is a cache, found by scanning, so one added
+        # later and left out of clear_caches() fails here
+        profile = (0, 1, 0)
+        build_tensor(profile, 1)
+        for q in range(4):
+            get_tensor(profile, q).values
+        parseval_defect(profile, 3)
+        bar_coefficient(profile, (5, 1, 2))
+        normalized_error(profile, IndexPattern.distinct(3), 3)
+        caches = {name: value for name, value in vars(coefficients).items()
+                  if isinstance(value, dict) and not name.startswith("__")}
+        assert {"_prefix_cache", "_bonnet_cache", "_tensor_cache"} <= caches.keys()
+        assert all(caches.values())
+        coefficients.clear_caches()
+        assert not any(caches.values())
+
     def test_store_holds_the_float_array_only(self):
         t = build_tensor((0, 1), 2)
         # one float array of the whole fibers, and a memo of float box sums
@@ -316,14 +334,32 @@ class TestTensor:
         assert build_tensor(profile, p).scaled_array().tobytes() == expected.tobytes()
 
     def test_entry_ceiling(self, monkeypatch):
-        with pytest.raises(ValueError):
-            build_tensor((0,) * 5, 40)  # 41^5 entries, above the 10^8 ceiling
-        # a cap above the degree ceiling fails before any entry is computed
+        # a store above the 10^8 ceiling, or a cap above the degree ceiling, fails
+        # before any entry is computed
         calls = []
         monkeypatch.setattr(coefficients, "_fiber", lambda *args: calls.append(args))
+        with pytest.raises(ValueError, match=r"store shape \(41, 41, 41, 41, 165\) = 466250565 "
+                                             r"floats exceeds ceiling 100000000"):
+            build_tensor((0,) * 5, 40)
         with pytest.raises(ValueError, match="Legendre degree ceiling 200"):
             build_tensor((0, 0, 0), 300)
         assert calls == []
+
+    def test_ceiling_counts_the_stored_fibers(self, monkeypatch):
+        # the box 31^5 = 28 629 151 is under the ceiling, but the store keeps every
+        # prefix's whole fiber: 31^4 x 125 floats; p = 29 and p = 74 are the last
+        # caps allowed for k = 5 and k = 4
+        calls = []
+        monkeypatch.setattr(coefficients, "_fiber", lambda *args: calls.append(args))
+        for route in (build_tensor, parseval_defect):
+            with pytest.raises(ValueError, match=r"store shape \(31, 31, 31, 31, 125\) = "
+                                                 r"115440125 floats exceeds ceiling 100000000"):
+                route((0,) * 5, 30)
+            with pytest.raises(ValueError, match=r"store shape \(76, 76, 76, 229\)"):
+                route((0,) * 4, 75)
+        assert calls == []
+        assert coefficients._check_store(WeightProfile((0,) * 5), 29) == (30,) * 4 + (121,)
+        assert coefficients._check_store(WeightProfile((0,) * 4), 74) == (75,) * 3 + (226,)
 
     def test_scaled_array_matches_scalar_path(self):
         t = get_tensor((0, 1), 3)
@@ -369,15 +405,23 @@ class TestParseval:
         with pytest.raises(ValueError, match="cap p=300 above the Legendre degree ceiling 200 "
                                              "for multiplicity 3"):
             parseval_defect((0, 0, 0), 300)
-        with pytest.raises(ValueError, match=r"box 41\^5 = 115856201 entries exceeds ceiling "
-                                             r"100000000"):
+        with pytest.raises(ValueError, match=r"store shape \(41, 41, 41, 41, 165\) = 466250565 "
+                                             r"floats exceeds ceiling 100000000"):
             parseval_defect((0,) * 5, 40)
         assert calls == []
 
-    def test_concurrent_defects_agree(self, monkeypatch):
-        # threads extend one profile's exact sums at once; no shell may be lost or mixed
-        for name in ("_tensor_cache", "_sq_sum_cache"):
-            monkeypatch.setattr(coefficients, name, {})
+    @pytest.mark.parametrize("profile,p", [
+        ((0, 0, 1), 5), ((1, 0, 2), 4), ((0, 1, 0, 0), 3), ((0,) * 5, 3)])
+    def test_defect_matches_tensor_values(self, profile, p):
+        # the two exact routes: C_j^2 = prod(2 j_m + 1) (barC_j / 2^(k+L))^2 at T - t = 1
+        k, L = len(profile), sum(profile)
+        squares = sum(math.prod(2 * jm + 1 for jm in j) * (v / 2 ** (k + L)) ** 2
+                      for j, v in get_tensor(profile, p).values.items() if max(j) <= p)
+        assert parseval_defect(profile, p) == exact_norm(profile) - squares
+
+    def test_concurrent_defects_agree(self, cold_caches):
+        # threads fill one profile's prefix moments and Bonnet pairs at once; no
+        # thread may read another's half-extended pair
         caps = [3, 7, 5, 9, 1, 8] * 2
         results = {}
 
@@ -396,8 +440,6 @@ class TestParseval:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == {i: Fraction(1, 4 * (2 * p + 1)) for i, p in enumerate(caps)}
-        assert coefficients._sq_sum_cache[(0, 0)] == [
-            Fraction(1, 2) - Fraction(1, 4 * (2 * q + 1)) for q in range(10)]
 
     def test_finite_expansion_k1(self):
         # single integrals terminate: barC_j = 0 for j > l

@@ -391,7 +391,7 @@ class TestStructure:
 
     def test_clear_caches_drops_errors(self, monkeypatch):
         # private empty caches, so clearing them leaves the rest of the suite warm
-        for name in ("_prefix_cache", "_bonnet_cache", "_tensor_cache", "_sq_sum_cache"):
+        for name in ("_prefix_cache", "_bonnet_cache", "_tensor_cache"):
             monkeypatch.setattr(coefficients, name, {})
         profile, pattern = (0, 1, 0), IndexPattern.distinct(3)
         first = normalized_error(profile, pattern, 2)
@@ -409,7 +409,7 @@ class TestStructure:
         memo = coefficients._tensor_cache[profile]._sums
         assert memo  # the box sums live on the cached tensor
         clear_caches()
-        assert coefficients._sq_sum_cache == {} and coefficients._tensor_cache == {}
+        assert coefficients._tensor_cache == {}
         assert normalized_error(profile, pattern, 2) == first
         assert builds == [((0, 1, 0), 2)]  # cold again: recomputed from a new tensor
         assert coefficients._tensor_cache[profile]._sums is not memo
@@ -418,7 +418,7 @@ class TestStructure:
         # every permutation's box sum is memoized per (profile, cap, axes); the
         # memoized error must equal the direct sum bit for bit, whatever the probe
         # order, after clear_caches() and with a larger tensor cached first
-        for name in ("_prefix_cache", "_bonnet_cache", "_tensor_cache", "_sq_sum_cache"):
+        for name in ("_prefix_cache", "_bonnet_cache", "_tensor_cache"):
             monkeypatch.setattr(coefficients, name, {})
         cases = [(pr, pat) for letter in "abcd" for _, pr, pat in case_catalog(3, letter)]
         cases += [(pr, pat) for _, pr, pat in case_catalog(4)]
