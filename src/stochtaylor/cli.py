@@ -10,6 +10,7 @@ seed.  Exit codes: 0 success, 1 domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -164,6 +165,7 @@ def _get_problem(name: str) -> schemes.SdeProblem:
     raise ValueError(f"unknown problem {name!r}; available: gbm, bilinear")
 
 
+@functools.cache  # one parser per process; parse_args leaves it unchanged
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="stochtaylor",
                                  description="Mean-square optimal approximation of "

@@ -7,8 +7,8 @@ factors into an exact rational "reduced" coefficient (an iterated polynomial
 integral over the simplex of ``[-1, 1]^k``) times a closed-form scaling in
 ``T - t`` and the degrees.  After the change of variable u = (1 + x) / 2 each
 polynomial F is held by its exact moments m_n = int_0^1 F P~_n du in integers
-over one denominator, with no quadrature; times 2u - 1 or u and int_0^u are
-three-term maps of them, and the outermost integral against P~_x reads m_x.
+over one denominator, with no quadrature.  Times u, int_0^u and a Bonnet step
+are one three-term pass each, and the outermost integral against P~_x reads m_x.
 
 Sign convention: the reduced coefficient absorbs ``(-1)**sum(l)`` so that the
 weighted k = 2, 3 coefficient tables carry their leading minus signs
@@ -83,16 +83,18 @@ class WeightProfile(tuple):
 # ---------------------------------------------------------------------------
 
 # moments of F_m(u) = int_0^u P~_{j_m}(s) s^{l_m} F_{m-1}(s) ds, F_0 = 1, by the prefix
-# ((l_1, j_1), ..., (l_m, j_m)), and per (F, l) the Bonnet pair (j, P~_{j-1} G, P~_j G), G = u^l F
+# ((l_1, j_1), ..., (l_m, j_m)), and by (its parent, l_m) the Bonnet pair of F_m at j_m - 1, j_m
 _prefix_cache: Dict[tuple, tuple] = {}
 _bonnet_cache: Dict[tuple, tuple] = {}
 _lock = threading.Lock()
 
 
-@functools.cache
-def _odd_lcm(n: int) -> int:
-    """lcm(1, 3, ..., 2n + 1), the moment operators' denominator; n < 6 * 402 bounds the cache."""
-    return math.lcm(*range(1, 2 * n + 2, 2))
+@functools.lru_cache(maxsize=128)
+def _quotients(n: int) -> tuple:
+    """D // (2i + 1) for i = 0..n, D = lcm(1, 3, ..., 2n + 1) (the first entry) the moment
+    operators' denominator; the 128 latest lengths, as a walk reads them in turn."""
+    D = math.lcm(*range(1, 2 * n + 2, 2))
+    return tuple(D // (2 * i + 1) for i in range(n + 1))
 
 
 def _reduced(nums: list, den: int) -> tuple:
@@ -100,51 +102,53 @@ def _reduced(nums: list, den: int) -> tuple:
     return tuple([c // g for c in nums]), den // g
 
 
-def _times_x(nums: tuple, den: int) -> tuple:
-    """(2u - 1) F: m'_n = ((n + 1) m_{n+1} + n m_{n-1}) / (2n + 1), not reduced."""
-    D, m = _odd_lcm(len(nums)), (0, *nums, 0, 0)  # m[n + 1] is m_n
-    return [D // (2 * n + 1) * ((n + 1) * m[n + 2] + n * m[n])
-            for n in range(len(nums) + 1)], den * D
-
-
 def _times_u(nums: tuple, den: int, l: int) -> tuple:
-    """u^l F by l steps u F = (F + (2u - 1) F) / 2, each reduced lest denominators compound."""
+    """u^l F by l one-pass steps u F = (F + (2u - 1) F) / 2, each reduced lest denominators
+    compound: m'_n = ((2n + 1) m_n + (n + 1) m_{n+1} + n m_{n-1}) / (2 (2n + 1))."""
     for _ in range(l):
-        xnums, xden = _times_x(nums, den)
-        nums, den = _reduced([xden // den * a + b for a, b in zip((*nums, 0), xnums)], 2 * xden)
+        q, m = _quotients(len(nums)), (0, *nums, 0, 0)  # m[n + 1] is m_n
+        nums, den = _reduced([q[n] * ((2 * n + 1) * m[n + 1] + (n + 1) * m[n + 2] + n * m[n])
+                              for n in range(len(nums) + 1)], 2 * q[0] * den)
     return nums, den
 
 
 def _integral(nums: tuple, den: int) -> tuple:
-    """int_0^u F: m'_0 = (m_0 - m_1) / 2, m'_n = (m_{n-1} - m_{n+1}) / (2 (2n + 1))."""
-    D, m = _odd_lcm(len(nums)), (*nums, 0, 0)
-    return _reduced([D * (m[0] - m[1])] + [D // (2 * n + 1) * (m[n - 1] - m[n + 1])
-                                           for n in range(1, len(nums) + 1)], 2 * D * den)
+    """int_0^u F: m'_n = (m_{n-1} - m_{n+1}) / (2 (2n + 1)), m_{-1} := m_0."""
+    q, m = _quotients(len(nums)), (nums[0], *nums, 0, 0)  # m[n + 1] is m_n
+    return _reduced([q[n] * (m[n] - m[n + 2]) for n in range(len(nums) + 1)], 2 * q[0] * den)
+
+
+def _bonnet_step(i: int, prev: tuple, cur: tuple) -> tuple:
+    """F_{i+1} = ((2i + 1) ((2u - 1) F_i - 2 int_0^u F_i) - i F_{i-1}) / (i + 1): one pass
+    m'_n = ((2i + 1) ((n + 2) a_{n+1} + (n - 1) a_{n-1}) / (2n + 1) - i b_n) / (i + 1) over the
+    moments a of F_i and b of F_{i-1} (a_{-1} := a_0), then one gcd."""
+    (a, da), (b, db) = cur, prev
+    den, q, m = math.lcm(da, db), _quotients(len(a)), (a[0], *a, 0, 0)  # m[n + 1] is a_n
+    s, t, b = (2 * i + 1) * (den // da), i * (den // db) * q[0], (*b, 0, 0)
+    return _reduced([s * q[n] * ((n + 2) * m[n + 2] + (n - 1) * m[n]) - t * b[n]
+                     for n in range(len(a) + 1)], den * q[0] * (i + 1))
 
 
 def _prefix(steps: tuple) -> tuple:
-    """Moments ``(nums, den)``, in lowest terms, of the running simplex integral after
-    the (l, j) pairs ``steps``, innermost first.  P~_j G, G = u^l F (F the parent), comes
-    by Bonnet's recurrence P~_{i+1} G = ((2i + 1) (2u - 1) P~_i G - i P~_{i-1} G) / (i + 1)
-    from the stored pair of (parent, l); a degree below the stored one restarts from G."""
+    """Moments ``(nums, den)``, in lowest terms, of the running simplex integral after the
+    (l, j) pairs ``steps``, innermost first.  F_j = int_0^u P~_j G, G = u^l F (F the parent),
+    is stepped from the Bonnet pair (i, F_{i-1}, F_i) of (parent, l) by Bonnet's recurrence
+    (A&S 22.7.10) and int_0^u (2s - 1) h = (2u - 1) H - 2 int_0^u H.  A walk starts from
+    F_0 = int_0^u G; j = i - 1 reads the pair's lower half and a lower j restarts."""
     cached = _prefix_cache.get(steps) if steps else ((1,), 1)
     if cached is not None:
         return cached
     parent, (l, j) = steps[:-1], steps[-1]
     state = _bonnet_cache.get((parent, l))
-    if state is None or state[0] > j:
-        state = (0,) + (_times_u(*_prefix(parent), l),) * 2
+    if state is None or state[0] > j + 1:
+        first = _integral(*_times_u(*_prefix(parent), l))
+        state = (0, first, first)
     i, prev, cur = state
     while i < j:
-        xnums, xden = _times_x(*cur)
-        den = math.lcm(xden, prev[1])
-        a, b = (2 * i + 1) * (den // xden), i * (den // prev[1])
-        i, prev, cur = i + 1, cur, _reduced(
-            [a * c - b * d for c, d in zip(xnums, (*prev[0], 0, 0))], den * (i + 1))
-    moments = _integral(*cur)
+        i, prev, cur = i + 1, cur, _bonnet_step(i, prev, cur)
     with _lock:
         _bonnet_cache[parent, l] = (i, prev, cur)
-        return _prefix_cache.setdefault(steps, moments)
+        return _prefix_cache.setdefault(steps, prev if j < i else cur)
 
 
 def _fiber(profile: WeightProfile, prefix: tuple) -> tuple:
@@ -210,16 +214,15 @@ def accurate_sum(arr: np.ndarray) -> float:
 def scaled_coefficient(profile, j, T_minus_t: float) -> float:
     """Real Fourier coefficient of the Gaussian product expansion.
 
-    ``C = prod_m sqrt(2 j_m + 1) * (T-t)^(k/2 + sum l) * 2^-(k + sum l) * barC``.
+    ``C = prod_m sqrt(2 j_m + 1) * (T-t)^(k/2 + sum l) * 2^-(k + sum l) * barC``, rounded as
+    ``build_tensor`` rounds its fiber entry, so at ``T_minus_t = 1`` it is the tensor's entry.
     """
     profile = WeightProfile(profile)
     check_step(T_minus_t)
-    bar = bar_coefficient(profile, j)
-    scale = 1.0
-    for jm in j:
-        scale *= math.sqrt(2 * jm + 1)
-    k, L = profile.k, profile.total_weight
-    return scale * T_minus_t ** (profile.norm_exponent / 2) * 2.0 ** -(k + L) * float(bar)
+    # the exact (-1)^L n / den that the store rounds, then its roots in axis order
+    c = float(bar_coefficient(profile, j) / 2 ** (profile.k + profile.total_weight))
+    c = math.prod((math.sqrt(2 * jm + 1) for jm in j), start=c)
+    return c * T_minus_t ** (profile.norm_exponent / 2)
 
 
 def exact_norm(profile) -> Fraction:
@@ -242,12 +245,14 @@ def exact_norm(profile) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def _fibers(profile: WeightProfile, p: int):
-    """``(prefix, nums, den)`` per (k-1)-prefix of {0..p}^(k-1): its fiber's moments cut to p;
-    the last degrees past ``len(nums)`` are zero."""
-    for prefix in product(range(p + 1), repeat=profile.k - 1):
+def _fibers(profile: WeightProfile, prefixes):
+    """``(prefix, nums, den)`` per (k-1)-prefix in ``prefixes``: its whole fiber's moments, the
+    last degrees past ``len(nums)`` zero.  Each prefix's moments then leave ``_prefix_cache``
+    (its Bonnet pair keeps them for a growth), so a route over a box keeps no leaf."""
+    for prefix in prefixes:
         nums, den = _fiber(profile, prefix)
-        yield prefix, nums[:p + 1], den
+        _prefix_cache.pop(tuple(zip(profile, prefix)), None)
+        yield prefix, nums, den
 
 
 class CoeffTensor:
@@ -268,9 +273,9 @@ class CoeffTensor:
         """Exact reduced coefficient of each multi-index (j_1 .. j_k, innermost first)
         of the box; not stored, so each access recomputes the whole box."""
         s = (-1) ** self.profile.total_weight * 2 ** (self.profile.k + self.profile.total_weight)
+        box = product(range(self.p + 1), repeat=self.profile.k - 1)
         return {prefix + (x,): Fraction(s * nums[x] if x < len(nums) else 0, den)
-                for prefix, nums, den in _fibers(self.profile, self.p)
-                for x in range(self.p + 1)}
+                for prefix, nums, den in _fibers(self.profile, box) for x in range(self.p + 1)}
 
     def scaled_array(self) -> np.ndarray:
         """Dense float array of unit-interval scaled coefficients.
@@ -330,13 +335,11 @@ def build_tensor(profile, p: int) -> CoeffTensor:
     with _lock:
         base = _tensor_cache.get(profile)
     start = base.p + 1 if base is not None and base.p <= p else 0
-    for prefix in product(range(p + 1), repeat=k - 1):
-        if max(prefix, default=0) >= start:  # k = 1: one fiber, read when cold
-            nums, den = _fiber(profile, prefix)
-            _prefix_cache.pop(tuple(zip(profile, prefix)), None)
-            # C_j = prod sqrt(2 j_m + 1) (-1)^L n / den at T - t = 1: 2^(k+L) cancels.  Int
-            # true division rounds as float(Fraction(n, d)) does; a float sign flip gives -0.0
-            store[prefix][:len(nums)] = [sign * n / den for n in nums]
+    new = (a for a in product(range(p + 1), repeat=k - 1) if max(a, default=0) >= start)
+    for prefix, nums, den in _fibers(profile, new):  # k = 1: one fiber, read when cold
+        # C_j = prod sqrt(2 j_m + 1) (-1)^L n / den at T - t = 1: 2^(k+L) cancels.  Int
+        # true division rounds as float(Fraction(n, d)) does; a float sign flip gives -0.0
+        store[prefix][:len(nums)] = [sign * n / den for n in nums]
     root = np.sqrt(2.0 * np.arange(store.shape[-1]) + 1.0)
     for axis in range(k):
         store *= root[:store.shape[axis]].reshape((-1,) + (1,) * (k - 1 - axis))
@@ -351,10 +354,10 @@ def parseval_defect(profile, p: int) -> Fraction:
     profile = WeightProfile(profile)
     _check_store(profile, p)
     total = Fraction(0)
-    for prefix, nums, den in _fibers(profile, p):
+    for prefix, nums, den in _fibers(profile, product(range(p + 1), repeat=profile.k - 1)):
         # C_j^2 at T - t = 1 is prod(2 j_m + 1) (n / den)^2: 4^(k + L) cancels
         total += Fraction(math.prod(2 * jm + 1 for jm in prefix)
-                          * sum((2 * x + 1) * n * n for x, n in enumerate(nums)), den * den)
+                          * sum((2 * x + 1) * n * n for x, n in enumerate(nums[:p + 1])), den * den)
     return exact_norm(profile) - total
 
 

@@ -1,9 +1,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stochtaylor
+from stochtaylor import cli
 from stochtaylor.cli import main
 
 
@@ -37,6 +43,26 @@ class TestBasics:
     def test_config_echo(self):
         _, out = run_cli("error", "--weights", "0,0", "--p", "2", "--step", "0.5")
         assert out.splitlines()[0].startswith("> stochtaylor error")
+
+
+class TestParserReuse:
+    def test_one_process_matches_fresh_processes(self, capsys):
+        # one parser serves every call in a process; a usage error in between leaves
+        # nothing behind, so each stdout is that of the same call in a new interpreter
+        calls = [("tables", "--id", "3"), ("error", "--p", "2"),
+                 ("error", "--weights", "0,1", "--p", "3", "--step", "0.5"),
+                 ("tables", "--id", "3")]
+        here = [run_cli(*argv) for argv in calls]
+        assert [code for code, _ in here] == [0, 2, 0, 0]
+        assert cli._build_parser() is cli._build_parser()
+        env = dict(os.environ)
+        src = str(Path(stochtaylor.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import sys; from stochtaylor.cli import main; sys.exit(main(sys.argv[1:]))"
+        for argv, (status, out) in zip(calls, here):
+            done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                                  capture_output=True, timeout=120)
+            assert (done.returncode, done.stdout) == (status, out.encode()), argv
 
 
 class TestSubcommands:

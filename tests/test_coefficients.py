@@ -226,6 +226,16 @@ class TestScaling:
         with pytest.raises(ValueError):
             scaled_coefficient((0,), (0,), 0.0)
 
+    @pytest.mark.parametrize("profile,p", [
+        ((0, 0), 9), ((0, 1), 9), ((1, 0, 2), 4), ((0, 0, 0), 4), ((0,) * 4, 2), ((2, 1), 5),
+        ((0, 0, 20), 3)])
+    def test_scalar_route_is_the_store_bit_for_bit(self, profile, p):
+        # one fiber read, rounded as build_tensor rounds it: n / den, then the roots in
+        # axis order, then the step power (1.0 here)
+        arr = get_tensor(profile, p).scaled_array()
+        for j in product(range(p + 1), repeat=len(profile)):
+            assert scaled_coefficient(profile, j, 1.0).hex() == float(arr[j]).hex(), j
+
 
 class TestExactNorm:
     @pytest.mark.parametrize("profile,expect", [
@@ -511,6 +521,30 @@ class TestFiberKernel:
         assert cold.scaled_array().tobytes() == grown.scaled_array().tobytes()
         assert cold._store.tobytes() == grown._store.tobytes()
 
+    @pytest.mark.parametrize("profile,p,prefixes", [((0, 0, 0), 8, 90), ((0,) * 4, 5, 258)])
+    def test_one_gcd_per_prefix(self, cold_caches, monkeypatch, profile, p, prefixes):
+        # a cold build computes each prefix of the box once, sum_{m<k} (p + 1)^m of them,
+        # and each prefix's moments cost one pass and one _reduced
+        calls, reduced = [], coefficients._reduced
+
+        def spy(nums, den):
+            calls.append(len(nums))
+            return reduced(nums, den)
+
+        monkeypatch.setattr(coefficients, "_reduced", spy)
+        build_tensor(profile, p)
+        assert len(calls) == prefixes == sum((p + 1) ** m for m in range(1, len(profile)))
+
+    def test_exact_box_routes_drop_every_leaf(self, cold_caches):
+        # the build, parseval_defect and values read each (k-1)-prefix once and keep
+        # no leaf moments; the shorter prefixes stay for a growth
+        profile = (0, 0, 0)
+        build_tensor(profile, 40)
+        parseval_defect(profile, 40)
+        assert get_tensor(profile, 6).values
+        assert coefficients._prefix_cache
+        assert not [s for s in coefficients._prefix_cache if len(s) == len(profile) - 1]
+
     def test_cold_bar_coefficient_reads_the_moments(self, cold_caches):
         rng = random.Random(5)
         for _ in range(30):
@@ -520,7 +554,7 @@ class TestFiberKernel:
         # descending inner degrees land below each parent's stored Bonnet pair
         for j in product(range(6, -1, -1), repeat=3):
             assert bar_coefficient((1, 0, 1), j) == oracle_bar((1, 0, 1), j), j
-        # each parent keeps one pair (j, P~_{j-1} G, P~_j G) of moment vectors, no list
+        # each parent keeps one pair (j, F_{j-1}, F_j) of prefix moment vectors, no list
         assert coefficients._prefix_cache and coefficients._bonnet_cache
         assert all(type(i) is int and len(prev) == len(cur) == 2
                    and len(cur[0]) == len(prev[0]) + (i > 0)
@@ -565,12 +599,17 @@ class TestFiberKernel:
         def moments(nums, den):
             return [Fraction(c, den) for c in nums]
 
+        def times_x(nums, den):
+            # (2u - 1) F: m'_n = ((n + 1) m_{n+1} + n m_{n-1}) / (2n + 1)
+            m = (0, *nums, 0, 0)  # m[n + 1] is m_n
+            return [Fraction((n + 1) * m[n + 2] + n * m[n], (2 * n + 1) * den)
+                    for n in range(len(nums) + 1)]
+
         g = ((1,), 1)
         for n in range(15):
             assert moments(*g) == closed(n)
             # (2u - 1) u^n = 2 u^(n+1) - u^n, and int_0^u s^n = u^(n+1) / (n+1)
-            assert moments(*coefficients._times_x(*g)) == [
-                2 * a - b for a, b in zip(closed(n + 1), closed(n) + [0])]
+            assert times_x(*g) == [2 * a - b for a, b in zip(closed(n + 1), closed(n) + [0])]
             assert moments(*coefficients._integral(*g)) == [a / (n + 1) for a in closed(n + 1)]
             g = coefficients._times_u(*g, 1)
 

@@ -1,9 +1,11 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 
+from stochtaylor import coefficients
 from stochtaylor.coefficients import _prefix
 from stochtaylor.legendre import eval_phi, legendre_value, shifted_legendre
 from test_coefficients import prefix_poly
@@ -86,6 +88,28 @@ def test_antiderivative_examples():
                    for n in range(len(nums))]
         got, got_den = _prefix(steps)
         assert [Fraction(c, got_den) for c in got] == moments
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_prefix_matches_monomial_oracle(monkeypatch, descending):
+    # every step sequence of depth <= 3 with j <= 6 and l <= 2 from cold caches; read
+    # descending, each parent's degrees land below its stored Bonnet pair, so the walk,
+    # the pair's lower half and the restart from F_0 all run
+    for name in ("_prefix_cache", "_bonnet_cache"):
+        monkeypatch.setattr(coefficients, name, {})
+    # F = sum_n (2n + 1) m_n P~_n turns the moments into monomial numerators
+    rows = [[(2 * n + 1) * c for c in shifted_legendre(n)] for n in range(28)]
+    seqs = [s for depth in (1, 2, 3) for s in product(product(range(3), range(7)), repeat=depth)]
+    for steps in reversed(seqs) if descending else seqs:
+        nums, den = _prefix(steps)
+        assert den > 0 and math.gcd(den, *nums) == 1, steps
+        poly = [0] * len(nums)
+        for m, row in zip(nums, rows):
+            for i, c in enumerate(row):
+                poly[i] += m * c
+        want, want_den = prefix_poly(steps)
+        assert len(want) == len(poly), steps
+        assert all(a * want_den == b * den for a, b in zip(poly, want)), steps
 
 
 def test_orthogonality_exact():
