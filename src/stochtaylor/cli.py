@@ -120,7 +120,7 @@ def _cmd_mse(args):
     print(f"exact {exact:.10g}")
     print(f"empirical {mean:.10g}")
     print(f"stderr {se:.4g}")
-    z = (mean - exact) / se if se > 0 else float("inf") * (mean - exact != 0.0)
+    z = (mean - exact) / se if se > 0 else (mean - exact) * float("inf") if mean != exact else 0.0
     print(f"z {z:+.3f}")
     return 0
 

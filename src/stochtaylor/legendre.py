@@ -53,6 +53,8 @@ def eval_phi(j: int, s: float, t: float, T: float) -> float:
         raise ValueError("interval must satisfy T > t")
     if not (t <= s <= T):
         raise ValueError(f"evaluation point {s} outside [{t}, {T}]")
+    if math.isinf(norm := (2 * j + 1) / (T - t)):
+        raise ValueError(f"basis normalization overflows at degree {j}, step T-t = {T - t!r}")
     z = (2.0 * s - (T + t)) / (T - t)
     z = min(1.0, max(-1.0, z))
-    return math.sqrt((2 * j + 1) / (T - t)) * legendre_value(j, z)
+    return math.sqrt(norm) * legendre_value(j, z)

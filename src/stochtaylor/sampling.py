@@ -118,7 +118,8 @@ class GaussianPanel:
     """The i.i.d. standard normals zeta_j^(i) feeding one approximation.
 
     ``data`` has shape (paths, m, p_max + 1), read-only (a writable input is
-    copied, so a caller's later writes cannot change the panel).
+    copied, so a caller's later writes cannot change the panel).  The Hermite
+    table of ``hermite`` is derived from it, read-only and freed with the panel.
     """
 
     def __init__(self, data: np.ndarray):
@@ -127,6 +128,7 @@ class GaussianPanel:
             raise ValueError(f"panel must be (paths, m, p+1), none empty, got shape {data.shape}")
         self._data = data.copy() if data.flags.writeable or not data.flags.owndata else data
         self._data.flags.writeable = False
+        self._he = np.broadcast_to(1.0, (1,) + self._data.shape[:2])  # He_0; no memory yet
 
     data = property(lambda self: self._data)
 
@@ -145,6 +147,18 @@ class GaussianPanel:
         if p > self.p_max:
             raise ValueError(f"panel covers degrees <= {self.p_max}, need {p}")
         return self.data[:, i - 1, : p + 1]
+
+    def hermite(self, k: int) -> np.ndarray:
+        """He_0..He_K of every component's zeta_0, (K + 1, paths, m), read-only, K >= k the
+        largest degree asked for yet: rows are added by He_{j+1} = x He_j - j He_{j-1}."""
+        he, n = self._he, len(self._he)
+        if n <= k:  # racing threads compute equal tables; either one is kept
+            he = np.concatenate([he, np.ones((k + 1 - n,) + he.shape[1:])])
+            for j in range(n - 1, k):  # at j = 0, He_{-1} is a row of ones, times 0
+                he[j + 1] = self.data[..., 0] * he[j] - j * he[j - 1]
+            he.flags.writeable = False
+            self._he = he
+        return he
 
 
 def _check_draw(m: int, paths: int) -> None:
@@ -235,14 +249,10 @@ def _wick_sums(profile: WeightProfile, p: int, T_minus_t: float, ito: bool,
     rows = max(_MIN_ROWS, _BLOCK_ELEMENTS // ((len(counts) + k + 1) * len(comps[0]) * n ** (k - 1)))
     out = np.empty((len(counts), len(z)))
     for a in range(0, len(z), rows):
-        # the Hermite form is kept for speed alone: the general contraction gives the same
-        # values to rounding but makes a bilinear t25 run about 1.6 times as slow
+        # the Hermite form, read from the panel's table, is kept for speed alone: the general
+        # contraction gives the same values to rounding but makes a bilinear t25 run 1.6x slower
         if ito and p == 0:
-            x = z[a:a + rows, used, 0]
-            he = np.ones((k + 1,) + x.shape)
-            for j in range(k):  # He_{j+1} = x He_j - j He_{j-1}
-                he[j + 1] = x * he[j] - j * he[j - 1]
-            total = terms[0][1].item() * he[counts, :, np.arange(len(used))].prod(axis=1).T
+            total = terms[0][1].item() * panel.hermite(k)[counts, a:a + rows, used].prod(axis=1).T
         elif pair00:
             z0, z1 = (z[a:a + rows, list(c)] for c in comps)
             w = 1.0 / np.sqrt(4.0 * np.arange(1, n) ** 2 - 1.0)
@@ -270,12 +280,15 @@ def sample_ito(spec: IntegralSpec, p: int, panel: GaussianPanel) -> np.ndarray:
     """Truncated Gaussian-product approximation of the iterated Ito integral,
     one value per path of the panel.
 
-    An integral whose error vanishes at every cap is evaluated at cap 0,
-    whatever ``p``.
+    An integral whose error vanishes at every cap is evaluated at cap 0, whatever
+    ``p``: its cap-0 coefficient times the panel's He_k(zeta_0) of its component.
     """
     check_cap(p)
     if IndexPattern.from_indices(spec.wiener_indices).error_vanishes(spec.profile):
-        p = 0
+        i, k = spec.wiener_indices[0], spec.k
+        panel.component(i, 0)  # raises if the panel is too small
+        return _wick_terms(spec.profile, 0, spec.T_minus_t, True)[0][1].item() * \
+            panel.hermite(k)[k, :, i - 1]
     return _sample(spec, p, panel, True)
 
 

@@ -249,6 +249,26 @@ class TestSubcommands:
         assert run_cli(*argv) == (1, "")
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("step,lines", [
+        # the empirical mean falls short of the exact error: the z keeps its sign
+        ("1e-160", ["exact 2.499972168e-321", "empirical 1.912034049e-321", "stderr 0",
+                    "z -inf"]),
+        # both underflow to 0: a tie is no deviation
+        ("1e-300", ["exact 0", "empirical 0", "stderr 0", "z +0.000"]),
+    ])
+    def test_mse_z_without_standard_error(self, step, lines):
+        code, out = run_cli("mse", "--spec", "00", "--i", "1,2", "--p", "0", "--paths", "10",
+                            "--grid", "2", "--step", step)
+        assert code == 0
+        assert out.splitlines()[1:] == lines
+
+    def test_mse_basis_overflow_rejected(self, capsys):
+        # (2j+1)/(T-t) overflows below a step of about 1e-308: no nan z is printed
+        code, out = run_cli("mse", "--spec", "0", "--i", "1", "--p", "0", "--paths", "10",
+                            "--grid", "4", "--step", "1e-320")
+        assert (code, out) == (1, "")
+        assert "overflows at degree 0, step T-t = 1e-320" in capsys.readouterr().err
+
     def test_mse_paths_rejected(self, capsys):
         code, _ = run_cli("mse", "--spec", "00", "--i", "1,2", "--p", "0", "--paths", "0")
         assert code == 1

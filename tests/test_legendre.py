@@ -146,6 +146,13 @@ def test_eval_phi_domain_errors():
         eval_phi(0, 0.5, 1.0, 1.0)
 
 
+def test_eval_phi_normalization_overflow():
+    # 5/3e-308 is finite, 7/3e-308 is not: the error names the degree and the step
+    assert math.isfinite(eval_phi(2, 0.0, 0.0, 3e-308))
+    with pytest.raises(ValueError, match=r"overflows at degree 3, step T-t = 3e-308"):
+        eval_phi(3, 0.0, 0.0, 3e-308)
+
+
 def test_recurrence_matches_exact_polynomial():
     # stability contract: float recurrence vs exact evaluation at u = (1+x)/2
     grid = np.linspace(-1.0, 1.0, 101)

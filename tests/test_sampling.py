@@ -544,6 +544,18 @@ class TestStatelessSamplers:
         for spec, value in zip(specs, before):
             assert np.array_equal(sample_ito(spec, 3, panel), value), spec
 
+    def test_zero_error_call_ignores_the_table_a_stack_grew(self):
+        # a stack at cap 0 extends the panel's Hermite table past what a lone
+        # call asked for; the lone calls read the same floats as on a fresh panel
+        panel = make_panel(np.random.default_rng(22), 2, 3, paths=25)
+        specs = [IntegralSpec((0,) * k, (i,) * k, 0.25) for k, i in ((2, 2), (3, 1), (1, 2))]
+        first = sample_ito(specs[0], 3, panel)
+        stack_ito((0,) * 4, 0, 0.25, panel)
+        assert len(panel.hermite(0)) == 5
+        for spec, got in zip(specs, [first] + [sample_ito(s, 3, panel) for s in specs[1:]]):
+            fresh = sample_ito(spec, 3, GaussianPanel(panel.data))
+            assert got.tobytes() == fresh.tobytes(), spec
+
     @pytest.mark.parametrize("scheme,m,h", [
         ("t25", 2, 0.25), ("t25", 3, 0.25), ("t15", 1, 2.0**-7), ("t20", 2, 0.25),
         ("milstein", 2, 0.25),
@@ -562,6 +574,52 @@ class TestStatelessSamplers:
                     stacks[weights] = stack_ito(weights, ctx.plan.cap(weights), h, ctx.panel)
                 expect = stacks[weights][tuple(i - 1 for i in indices)]
             assert np.array_equal(got, expect), (weights, indices)
+
+
+def _literal_hermite(x: float, k: int) -> List[float]:
+    """He_0(x)..He_k(x) by the three-term recurrence, one Python float at a time."""
+    he = [1.0]
+    for j in range(k):
+        he.append(x * he[j] - j * (he[j - 1] if j else 1.0))
+    return he
+
+
+class TestHermiteTable:
+    """The panel's He_j(zeta_0) table, which every cap-0 Ito sum reads."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("paths", [1, 37])
+    def test_rows_are_the_literal_recurrence(self, m, paths):
+        panel = make_panel(np.random.default_rng(m * 100 + paths), m, 2, paths)
+        table = panel.hermite(6)
+        assert table.shape == (7, paths, m)
+        expect = [[_literal_hermite(float(x), 6) for x in row] for row in panel.data[..., 0]]
+        assert table.tobytes() == np.array(expect).transpose(2, 0, 1).tobytes()
+
+    def test_extension_gives_the_same_bytes(self):
+        data = make_panel(np.random.default_rng(9), 3, 1, paths=37).data
+        grown, direct = GaussianPanel(data), GaussianPanel(data)
+        assert len(grown.hermite(2)) == 3
+        assert grown.hermite(5).tobytes() == direct.hermite(5).tobytes()
+
+    def test_second_call_returns_the_same_read_only_array(self):
+        panel = make_panel(np.random.default_rng(10), 2, 1, paths=5)
+        table = panel.hermite(4)
+        assert panel.hermite(4) is table and panel.hermite(1) is table
+        with pytest.raises(ValueError):
+            table[1, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("h", [0.7, 2.0**-7])
+    @pytest.mark.parametrize("p", [0, 5])
+    def test_zero_error_call_is_c0_times_he_k(self, k, h, p):
+        # c0 = h^(k/2)/k! (Kloeden and Platen 1992, 5.2), rounded as the tensor stores it
+        panel = make_panel(np.random.default_rng(k), 3, 0, paths=37)
+        c0 = 1 / math.factorial(k) * h ** (k / 2)
+        for i in (1, 2, 3):
+            got = sample_ito(IntegralSpec((0,) * k, (i,) * k, h), p, panel)
+            expect = [c0 * _literal_hermite(float(x), k)[k] for x in panel.data[:, i - 1, 0]]
+            assert got.tobytes() == np.array(expect).tobytes(), i
 
 
 class TestLoneCall:
