@@ -31,6 +31,7 @@ from .legendre import MAX_DEGREE
 __all__ = [
     "WeightProfile",
     "CoeffTensor",
+    "StoreCeilingError",
     "bar_coefficient",
     "scaled_coefficient",
     "check_step",
@@ -46,6 +47,10 @@ __all__ = [
 
 MAX_MULTIPLICITY = 6
 ENTRY_CEILING = 10**8
+
+
+class StoreCeilingError(ValueError):
+    """A coefficient store of more than ``ENTRY_CEILING`` floats was asked for."""
 
 
 class WeightProfile(tuple):
@@ -259,7 +264,8 @@ class CoeffTensor:
     """All reduced coefficients of one profile over the box {0..p}^k.
 
     Floats only: one immutable array of every (k-1)-prefix's whole fiber as ``build_tensor``
-    rounds it, and the ``product_sum`` memo, shared with the tensors grown from this one.
+    rounds it (a prefix mirrored by time reversal stores its box row only, zeros past p),
+    and the ``product_sum`` memo, shared with the tensors grown from this one.
     """
 
     def __init__(self, profile: WeightProfile, p: int, store: np.ndarray, sums=None):
@@ -308,8 +314,9 @@ _tensor_cache: Dict[WeightProfile, CoeffTensor] = {}
 
 def _check_store(profile: WeightProfile, p: int) -> tuple:
     """The shape of the cap-p fiber store: the (k-1)-prefixes by the longest fiber, that of
-    prefix (p, .., p).  Rejects a store of more than ``ENTRY_CEILING`` floats or, for k >= 2,
-    a cap above the Legendre degree ceiling (the inner polynomials need degree p; k = 1 has
+    prefix (p, .., p); a prefix mirrored by time reversal fills its box row only.  Rejects a
+    store of more than ``ENTRY_CEILING`` floats (a ``StoreCeilingError``) or, for k >= 2, a
+    cap above the Legendre degree ceiling (the inner polynomials need degree p; k = 1 has
     none)."""
     check_cap(p)
     k = profile.k
@@ -318,8 +325,16 @@ def _check_store(profile: WeightProfile, p: int) -> tuple:
                          f"for multiplicity {k}")
     shape = (p + 1,) * (k - 1) + (max(p + 1, (k - 1) * (p + 1) + profile.total_weight + 1),)
     if (n := math.prod(shape)) > ENTRY_CEILING:
-        raise ValueError(f"store shape {shape} = {n} floats exceeds ceiling {ENTRY_CEILING}")
+        raise StoreCeilingError(f"store shape {shape} = {n} floats exceeds ceiling {ENTRY_CEILING}")
     return shape
+
+
+def _top(head: tuple) -> int:
+    """For an all-zero profile with k >= 4, the last c whose fiber ``head + (c,)`` a build
+    reads: a_2, or a_1 - 1 when a_1 is the head's largest entry.  u -> 1 - u reverses the
+    simplex and P~_j(1 - u) = (-1)^j P~_j(u) (A&S ch. 22), so C_j = (-1)^|j| C_rev(j), and
+    each entry above the top reverses into a read prefix whose largest index is the entry's."""
+    return head[0] - 1 if head[0] > max(head[1:]) else head[1]
 
 
 def build_tensor(profile, p: int) -> CoeffTensor:
@@ -327,24 +342,50 @@ def build_tensor(profile, p: int) -> CoeffTensor:
 
     Deterministic.  The cached tensor of the profile, when its cap is at most ``p``, is
     extended by the prefixes with a degree above that cap only, each fiber read once; its
-    moments then leave ``_prefix_cache``.  ``_check_store`` says what it rejects.
+    moments then leave ``_prefix_cache``.  An all-zero profile with k >= 4 reads only the
+    prefixes up to ``_top`` per (k-2)-head; each other prefix stores its box row only, the
+    signed unrooted entries of the reversed fibers read in the same build, then rooted in
+    its own axis order.  ``_check_store`` says what it rejects.
     """
     profile = WeightProfile(profile)
     store = np.zeros(_check_store(profile, p))
     k, sign = profile.k, (-1) ** profile.total_weight
+    mirrored = k >= 4 and not profile.total_weight
     with _lock:
         base = _tensor_cache.get(profile)
     start = base.p + 1 if base is not None and base.p <= p else 0
-    new = (a for a in product(range(p + 1), repeat=k - 1) if max(a, default=0) >= start)
-    for prefix, nums, den in _fibers(profile, new):  # k = 1: one fiber, read when cold
+    if k == 1:  # one fiber, read when cold
+        rows, new = [], [()] if not start else []
+    else:  # per (k-2)-head, the new last indices lo..top: all of a new head's, else >= start
+        rows = [(h, 0 if max(h, default=-1) >= start else start, _top(h) if mirrored else p)
+                for h in product(range(p + 1), repeat=k - 2)]
+        new = (h + (c,) for h, lo, top in rows for c in range(lo, top + 1))
+    for prefix, nums, den in _fibers(profile, new):
         # C_j = prod sqrt(2 j_m + 1) (-1)^L n / den at T - t = 1: 2^(k+L) cancels.  Int
         # true division rounds as float(Fraction(n, d)) does; a float sign flip gives -0.0
         store[prefix][:len(nums)] = [sign * n / den for n in nums]
+    if mirrored:  # C_(h, c, x) = (-1)^(|h| + c + x) C_(x, c, rev h[1:], h[0]) for c > top
+        alt = 1.0 - 2.0 * (np.add.outer(np.arange(p + 1), np.arange(p + 1)) % 2)
+        for h, lo, top in rows:  # new rows whole; of an old row, x >= start
+            sgn = -alt if sum(h) % 2 else alt
+            for cs, xs in ((slice(max(top + 1, lo), p + 1), slice(0, p + 1)),
+                           (slice(top + 1, lo), slice(lo, p + 1))):
+                out = store[h + (cs, xs)]
+                np.multiply(store[(xs, cs) + h[::-1]].T, sgn[cs, xs], out=out)
+                out += 0.0  # a negated zero is -0.0
     root = np.sqrt(2.0 * np.arange(store.shape[-1]) + 1.0)
     for axis in range(k):
         store *= root[:store.shape[axis]].reshape((-1,) + (1,) * (k - 1 - axis))
     if start:
-        store[tuple(slice(0, n) for n in base._store.shape)] = base._store
+        old = tuple(slice(0, n) for n in base._store.shape)
+        if not mirrored:
+            store[old] = base._store
+        else:  # the base's mirrored rows end at its cap, and the entries above were just set
+            store[old[:-1] + (slice(0, start),)] = base._store[..., :start]
+            for h, lo, top in rows:
+                if lo:  # an old head: top < start, and its read rows keep their tails
+                    tail = (slice(0, top + 1), slice(start, old[-1].stop))
+                    store[h + tail] = base._store[h + tail]
     return CoeffTensor(profile, p, store, base._sums if start else None)
 
 

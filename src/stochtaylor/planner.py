@@ -15,7 +15,7 @@ from fnmatch import fnmatchcase
 from fractions import Fraction
 from typing import Dict, List, NamedTuple, Tuple
 
-from .coefficients import WeightProfile, check_step
+from .coefficients import StoreCeilingError, WeightProfile, check_step
 from .errors import IndexPattern, at_step, normalized_error
 from .legendre import MAX_DEGREE
 
@@ -89,7 +89,8 @@ def _first_cap(profile: WeightProfile, pattern: IndexPattern, condition: Conditi
     integers with no degree ceiling.  Every other case ascends p = 0, 1, ...,
     each probe growing the profile's tensor by at most one shell, up to the
     Legendre degree ceiling ``MAX_DEGREE``; the error decreases in p, so the
-    first hit is minimal.
+    first hit is minimal.  A probe whose store the ceiling rejects ends the
+    search as a ``PlannerCapError`` too.
     """
     if pattern.k != profile.k:
         raise ValueError(f"pattern multiplicity {pattern.k} != profile {profile.k}")
@@ -101,7 +102,11 @@ def _first_cap(profile: WeightProfile, pattern: IndexPattern, condition: Conditi
         search_cap = MAX_DEGREE if profile.k <= 2 else DEFAULT_CAP_HIGH
     cap = min(search_cap, MAX_DEGREE)
     for p in range(cap + 1):
-        if condition.admits(normalized_error(profile, pattern, p), thr):
+        try:
+            error = normalized_error(profile, pattern, p)
+        except StoreCeilingError as exc:
+            raise PlannerCapError(f"no cap below {p} satisfies {goal}: at cap {p} the {exc}") from exc
+        if condition.admits(error, thr):
             return p
     raise PlannerCapError(f"no cap <= {cap} satisfies {goal}")
 

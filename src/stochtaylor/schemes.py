@@ -107,8 +107,9 @@ class StepContext:
         elif plan.order != order or not math.isclose(plan.T_minus_t, h, rel_tol=1e-12):
             raise ValueError(f"scheme {scheme!r} has order {order} at h = {h}, but the plan "
                              f"is for order {plan.order} at step {plan.T_minus_t}")
-        stacks, exact, width = _step_layout(scheme, m, h, tuple(plan.items()))
+        stacks, exact, width, top = _step_layout(scheme, m, h, tuple(plan.items()))
         panel = make_panel(rng, m, width, paths)
+        panel.hermite(top)  # the table every cap-0 call reads, built at its full size once
         values = {}
         for profile, cap, reads in stacks:
             stack = stack_ito(profile, cap, h, panel)
@@ -121,21 +122,22 @@ class StepContext:
 @lru_cache(maxsize=64)
 def _step_layout(scheme: str, m: int, h: float, caps: tuple):
     """A step's integrals: per (profile, cap) to stack, the (key, stack index) of each
-    integral whose error does not vanish; the specs of those whose error vanishes; and the
-    panel width, which drops only a pair's vanishing cap (or GBM re-seeds)."""
+    integral whose error does not vanish; the specs of those whose error vanishes; the
+    panel width, which drops only a pair's vanishing cap (or GBM re-seeds); and the largest
+    multiplicity evaluated at cap 0, the Hermite degree the step reads."""
     caps = dict(caps)
-    stacks, exact, width = {}, [], 0
+    stacks, exact, width, top = {}, [], 0, 0
     for weights in scheme_profiles(scheme_terms(scheme)):
         for indices in _index_tuples(m, len(weights)):
             spec, cap = IntegralSpec(weights, indices, h), caps[weights]
             if IndexPattern.from_indices(indices).error_vanishes(spec.profile):
                 exact.append(spec)
-                width = max(width, 0 if spec.k == 2 else cap)
+                width, top = max(width, 0 if spec.k == 2 else cap), max(top, spec.k)
             else:
                 reads = stacks.setdefault((spec.profile, cap), [])
                 reads.append(((weights, indices), tuple(i - 1 for i in indices)))
-                width = max(width, cap)
-    return tuple((w, c, tuple(r)) for (w, c), r in stacks.items()), tuple(exact), width
+                width, top = max(width, cap), max(top, 0 if cap else spec.k)
+    return tuple((w, c, tuple(r)) for (w, c), r in stacks.items()), tuple(exact), width, top
 
 
 def _index_tuples(m: int, k: int) -> Iterable[Tuple[int, ...]]:

@@ -80,6 +80,21 @@ class TestSubcommands:
         assert code == 0
         assert out.splitlines()[-1] == "36"
 
+    def test_truncate_store_ceiling_names_the_search(self, monkeypatch, capsys):
+        # the Baseline's (0,0,0,0) search at h = 0.0005 meets the 10^8 store ceiling at
+        # cap 75 after minutes; a ceiling of 10^4 floats meets it at cap 7
+        from stochtaylor import coefficients
+        for name in ("_prefix_cache", "_bonnet_cache", "_tensor_cache"):
+            monkeypatch.setattr(coefficients, name, {})
+        monkeypatch.setattr(coefficients, "ENTRY_CEILING", 10**4)
+        code, out = run_cli("truncate", "--weights", "0,0,0,0", "--step", "0.0005",
+                            "--order-exp", "5")
+        assert (code, out) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: no cap below 7 satisfies E <= 1.0*(T-t)^5 for profile "
+                              "(0, 0, 0, 0), step 0.0005: at cap 7 the store shape")
+        assert err.rstrip().endswith("exceeds ceiling 10000")
+
     def test_truncate_k_is_usage_error(self, capsys):
         # the multiplicity is the length of the weights; there is no --k
         code, out = run_cli("truncate", "--k", "3", "--weights", "0,0,0",

@@ -105,6 +105,16 @@ def oracle_bar(profile, j):
     return Fraction((-1) ** L * 2 ** (k + L) * num, den * mden)
 
 
+def kept_prefixes(profile, p):
+    """The (k-1)-prefixes a cap-p build reads: all of them, but for an all-zero profile with
+    k >= 4 only those with a_(k-1) <= a_2 or a_1 > max(a_2 .. a_(k-1)); time reversal gives
+    the others."""
+    box = list(product(range(p + 1), repeat=len(profile) - 1))
+    if len(profile) < 4 or any(profile):
+        return box
+    return [a for a in box if a[-1] <= a[1] or a[0] > max(a[1:])]
+
+
 @pytest.fixture
 def cold_caches(monkeypatch):
     # private empty caches stand in for clear_caches() and keep the rest of
@@ -329,10 +339,15 @@ class TestTensor:
         assert tensor.p == 30
         assert retained < 2**20
 
-    @pytest.mark.parametrize("profile,p", [((0, 0, 0), 10), ((0,) * 4, 4), ((1, 0, 2), 4)])
+    @pytest.mark.parametrize("profile,p", [
+        ((0, 0, 0), 10), ((0,) * 4, 4), ((1, 0, 2), 4),
+        ((0,) * 5, 4), ((0,) * 6, 3), ((0, 0, 1, 0), 4),
+    ])
     def test_floats_are_the_rounded_oracle_bitwise(self, cold_caches, profile, p):
         # float(barC) times the roots in axis order times 2^-(k+L): pins the
-        # rounding and the sign of every zero (a negated float zero is -0.0)
+        # rounding and the sign of every zero (a negated float zero is -0.0),
+        # also of the entries an all-zero k >= 4 build copies by time reversal,
+        # built cold, grown shell by shell and grown in one jump from cap 2
         k, L = len(profile), sum(profile)
         root = np.sqrt(2.0 * np.arange(p + 1) + 1.0)
         expected = np.empty((p + 1,) * k)
@@ -341,7 +356,12 @@ class TestTensor:
             for jm in j:
                 value = value * root[jm]
             expected[j] = value * 2.0 ** -(k + L)
-        assert build_tensor(profile, p).scaled_array().tobytes() == expected.tobytes()
+        for caps in ([p], range(p + 1), [2, p]):
+            coefficients.clear_caches()
+            for q in caps:
+                tensor = get_tensor(profile, q)
+            assert tensor.scaled_array().tobytes() == expected.tobytes(), caps
+            assert not np.signbit(tensor._store[tensor._store == 0]).any(), caps
 
     def test_entry_ceiling(self, monkeypatch):
         # a store above the 10^8 ceiling, or a cap above the degree ceiling, fails
@@ -499,10 +519,13 @@ class TestFiberKernel:
         assert cold.values == grown.values
         assert cold.scaled_array().tobytes() == grown.scaled_array().tobytes()
 
-    @pytest.mark.parametrize("profile,p", [((0, 0, 0), 8), ((0,) * 4, 5), ((0, 0, 3), 6)])
+    @pytest.mark.parametrize("profile,p", [
+        ((0, 0, 0), 8), ((0,) * 4, 5), ((0, 0, 3), 6), ((0,) * 5, 4), ((0, 0, 1, 0), 4),
+    ])
     def test_growth_reads_each_fiber_once(self, cold_caches, monkeypatch, profile, p):
-        # a tensor keeps every prefix's whole fiber, so a one-shell growth reads
-        # only the prefixes with a new degree; each read leaves _prefix_cache
+        # a tensor keeps every read prefix's whole fiber, so a one-shell growth reads
+        # only the prefixes with a new degree, and of an all-zero k >= 4 profile only
+        # the kept ones; each read leaves _prefix_cache
         reads, fiber = [], coefficients._fiber
 
         def spy(prof, prefix):
@@ -512,8 +535,7 @@ class TestFiberKernel:
         monkeypatch.setattr(coefficients, "_fiber", spy)
         for q in range(p + 1):
             grown = get_tensor(profile, q)
-        k = len(profile)
-        assert sorted(reads) == list(product(range(p + 1), repeat=k - 1))
+        assert sorted(reads) == kept_prefixes(profile, p)
         leaves = {tuple(zip(profile, a)) for a in reads}
         assert coefficients._prefix_cache and not leaves & coefficients._prefix_cache.keys()
         coefficients.clear_caches()
@@ -521,10 +543,13 @@ class TestFiberKernel:
         assert cold.scaled_array().tobytes() == grown.scaled_array().tobytes()
         assert cold._store.tobytes() == grown._store.tobytes()
 
-    @pytest.mark.parametrize("profile,p,prefixes", [((0, 0, 0), 8, 90), ((0,) * 4, 5, 258)])
+    @pytest.mark.parametrize("profile,p,prefixes", [
+        ((0, 0, 0), 8, 90), ((0,) * 4, 5, 188), ((0,) * 4, 15, 3008), ((0,) * 5, 6, 1946),
+    ])
     def test_one_gcd_per_prefix(self, cold_caches, monkeypatch, profile, p, prefixes):
-        # a cold build computes each prefix of the box once, sum_{m<k} (p + 1)^m of them,
-        # and each prefix's moments cost one pass and one _reduced
+        # a cold build computes each shorter prefix of the box once, sum_{m<k-1} (p + 1)^m
+        # of them, and each kept (k-1)-prefix; each prefix's moments cost one pass and
+        # one _reduced
         calls, reduced = [], coefficients._reduced
 
         def spy(nums, den):
@@ -533,7 +558,8 @@ class TestFiberKernel:
 
         monkeypatch.setattr(coefficients, "_reduced", spy)
         build_tensor(profile, p)
-        assert len(calls) == prefixes == sum((p + 1) ** m for m in range(1, len(profile)))
+        shorter = sum((p + 1) ** m for m in range(1, len(profile) - 1))
+        assert len(calls) == prefixes == shorter + len(kept_prefixes(profile, p))
 
     def test_exact_box_routes_drop_every_leaf(self, cold_caches):
         # the build, parseval_defect and values read each (k-1)-prefix once and keep
@@ -564,7 +590,7 @@ class TestFiberKernel:
     def test_reversal_identity(self, k, p):
         # u -> 1 - u maps the ordered simplex to itself reversed and
         # P~_j(1 - u) = (-1)^j P~_j(u), so zero weights give C_j = (-1)^|j| C_rev(j);
-        # the kernel computes every entry, so this checks the oracle
+        # this checks the oracle, test_values_satisfy_reversal the kernel
         zero = (0,) * k
         for j in product(range(p + 1), repeat=k):
             assert oracle_bar(zero, j) == (-1) ** sum(j) * oracle_bar(zero, j[::-1])
@@ -572,6 +598,14 @@ class TestFiberKernel:
         weighted = (0,) * (k - 1) + (1,)
         assert any(oracle_bar(weighted, j) != (-1) ** sum(j) * oracle_bar(weighted, j[::-1])
                    for j in product(range(3), repeat=k))
+
+    @pytest.mark.parametrize("k,p", [(4, 6), (5, 4), (6, 3)])
+    def test_values_satisfy_reversal(self, cold_caches, k, p):
+        # the identity an all-zero k >= 4 build copies its skipped entries by, on the exact
+        # values, which read every fiber
+        values = build_tensor((0,) * k, p).values
+        assert len(values) == (p + 1) ** k
+        assert all(v == (-1) ** sum(j) * values[j[::-1]] for j, v in values.items())
 
     @pytest.mark.parametrize("profile", [(0, 1, 0), (2,), (1, 0, 0, 1), (0, 0, 0)])
     def test_degree_zero_rule(self, cold_caches, profile):

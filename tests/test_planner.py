@@ -5,7 +5,7 @@ from itertools import product
 
 import pytest
 
-from stochtaylor import coefficients
+from stochtaylor import coefficients, planner
 from stochtaylor.coefficients import get_tensor
 from stochtaylor.errors import IndexPattern, error_bound_kfact, exact_error, normalized_error
 from stochtaylor.planner import (
@@ -19,6 +19,7 @@ from stochtaylor.planner import (
     reproduce_table,
     scheme_plan,
 )
+from test_coefficients import kept_prefixes
 
 
 class TestCondition:
@@ -107,10 +108,12 @@ class TestMinimalOrder:
         k = len(profile)
         assert minimal_order(profile, IndexPattern.distinct(k), Condition(exp), h) == q
         assert coefficients._tensor_cache[profile].p == q
-        # each (k-1)-prefix moment vector of the box {0..q}^k is computed exactly
-        # once, shorter prefixes too, and none beyond the answer
-        box = {tuple(zip(profile, a)) for m in range(1, k)
+        # each shorter prefix moment vector of the box {0..q}^k is computed exactly
+        # once, each kept (k-1)-prefix too (all but time-reversed (0,0,0,0) ones), and
+        # none beyond the answer
+        box = {tuple(zip(profile, a)) for m in range(1, k - 1)
                for a in product(range(q + 1), repeat=m)}
+        box |= {tuple(zip(profile, a)) for a in kept_prefixes(profile, q)}
         assert len(stored) == len(set(stored)) and set(stored) == box
 
     def test_fractional_weights_rejected(self):
@@ -121,6 +124,31 @@ class TestMinimalOrder:
         with pytest.raises(PlannerCapError):
             minimal_order((0, 0, 0), IndexPattern.distinct(3), Condition(4), 0.0005,
                           search_cap=10)
+
+    def test_store_ceiling_ends_the_search_as_a_cap_error(self, monkeypatch):
+        # under a ceiling of 10^4 floats, (0,0,0,0) stores 7^3 x 22 = 7546 at cap 6 but
+        # 8^3 x 25 = 12800 at cap 7: the error names the goal, the cap and the ceiling
+        for name in ("_prefix_cache", "_bonnet_cache", "_tensor_cache"):
+            monkeypatch.setattr(coefficients, name, {})
+        monkeypatch.setattr(coefficients, "ENTRY_CEILING", 10**4)
+        args = ((0, 0, 0, 0), IndexPattern.distinct(4), Condition(5), 0.0005)
+        with pytest.raises(PlannerCapError, match=(
+                r"^no cap below 7 satisfies E <= 1.0\*\(T-t\)\^5 for profile \(0, 0, 0, 0\), "
+                r"step 0.0005: at cap 7 the store shape \(8, 8, 8, 25\) = 12800 floats "
+                r"exceeds ceiling 10000$")) as info:
+            minimal_order(*args)
+        assert isinstance(info.value.__cause__, coefficients.StoreCeilingError)
+        assert coefficients._tensor_cache[(0, 0, 0, 0)].p == 6
+        # every other ValueError of a probe propagates unchanged
+        boom = ValueError("boom")
+
+        def fail(*_):
+            raise boom
+
+        monkeypatch.setattr(planner, "normalized_error", fail)
+        with pytest.raises(ValueError) as info:
+            minimal_order(*args)
+        assert info.value is boom
 
     def test_cap_guard_holds_with_larger_tensor_cached(self, monkeypatch):
         monkeypatch.setattr(coefficients, "_tensor_cache", {})

@@ -622,6 +622,33 @@ class TestHermiteTable:
             assert got.tobytes() == np.array(expect).tobytes(), i
 
 
+    @pytest.mark.parametrize("scheme,m,h,top", [
+        ("t25", 2, 0.25, 5), ("t25", 1, 0.25, 5), ("t20", 2, 0.25, 4), ("t15", 1, 2.0**-7, 3),
+        ("milstein", 2, 0.25, 2),
+    ])
+    def test_one_step_builds_the_table_once(self, monkeypatch, scheme, m, h, top):
+        # the step asks for its largest cap-0 multiplicity before any integral, so no
+        # cap-0 call grows the table by a copy; the values are those of a step that grew it
+        StepContext.sample(scheme, m, h, np.random.default_rng(3), paths=16)  # warm caches
+        grown, hermite = [], GaussianPanel.hermite
+
+        def spy(panel, k):
+            rows = len(panel._he)
+            table = hermite(panel, k)
+            if len(table) != rows:
+                grown.append((rows, len(table)))
+            return table
+
+        monkeypatch.setattr(GaussianPanel, "hermite", spy)
+        ctx = StepContext.sample(scheme, m, h, np.random.default_rng(3), paths=16)
+        assert grown == [(1, top + 1)]
+        for key, value in ctx.values.items():
+            spec = IntegralSpec(*key, h)
+            if IndexPattern.from_indices(spec.wiener_indices).error_vanishes(spec.profile):
+                fresh = GaussianPanel(ctx.panel.data)  # grows its table call by call
+                assert sample_ito(spec, 0, fresh).tobytes() == value.tobytes(), key
+
+
 class TestLoneCall:
     @pytest.mark.parametrize("indices,arities", [((1, 2, 3), [3]), ((1, 2, 1), [3, 1])])
     def test_contracts_only_pairs_that_agree(self, indices, arities, monkeypatch):
