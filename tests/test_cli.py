@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import stochtaylor
-from stochtaylor import cli
+from stochtaylor import cli, coefficients
 from stochtaylor.cli import main
 
 
@@ -81,9 +81,8 @@ class TestSubcommands:
         assert out.splitlines()[-1] == "36"
 
     def test_truncate_store_ceiling_names_the_search(self, monkeypatch, capsys):
-        # the Baseline's (0,0,0,0) search at h = 0.0005 meets the 10^8 store ceiling at
-        # cap 75 after minutes; a ceiling of 10^4 floats meets it at cap 7
-        from stochtaylor import coefficients
+        # the (0,0,0,0) search at h = 0.0005 meets the 10^8 store ceiling at cap 75
+        # after minutes; a ceiling of 10^4 floats meets it at cap 7
         for name in ("_prefix_cache", "_bonnet_cache", "_tensor_cache"):
             monkeypatch.setattr(coefficients, name, {})
         monkeypatch.setattr(coefficients, "ENTRY_CEILING", 10**4)

@@ -621,15 +621,14 @@ class TestHermiteTable:
             expect = [c0 * _literal_hermite(float(x), k)[k] for x in panel.data[:, i - 1, 0]]
             assert got.tobytes() == np.array(expect).tobytes(), i
 
-
     @pytest.mark.parametrize("scheme,m,h,top", [
         ("t25", 2, 0.25, 5), ("t25", 1, 0.25, 5), ("t20", 2, 0.25, 4), ("t15", 1, 2.0**-7, 3),
         ("milstein", 2, 0.25, 2),
     ])
     def test_one_step_builds_the_table_once(self, monkeypatch, scheme, m, h, top):
         # the step asks for its largest cap-0 multiplicity before any integral, so no
-        # cap-0 call grows the table by a copy; the values are those of a step that grew it
-        StepContext.sample(scheme, m, h, np.random.default_rng(3), paths=16)  # warm caches
+        # cap-0 call grows the table by a copy; each zero-error value is the bytes of a
+        # lone call on a fresh panel, whose table reaches only that call's k
         grown, hermite = [], GaussianPanel.hermite
 
         def spy(panel, k):
@@ -645,7 +644,7 @@ class TestHermiteTable:
         for key, value in ctx.values.items():
             spec = IntegralSpec(*key, h)
             if IndexPattern.from_indices(spec.wiener_indices).error_vanishes(spec.profile):
-                fresh = GaussianPanel(ctx.panel.data)  # grows its table call by call
+                fresh = GaussianPanel(ctx.panel.data)
                 assert sample_ito(spec, 0, fresh).tobytes() == value.tobytes(), key
 
 
