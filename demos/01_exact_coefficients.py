@@ -7,14 +7,10 @@ closed-form scaling.  Everything here is exact arithmetic.
 """
 
 from fractions import Fraction
+from math import comb
 
-from stochtaylor import (
-    bar_coefficient,
-    exact_norm,
-    parseval_defect,
-    scaled_coefficient,
-    shifted_legendre,
-)
+from stochtaylor import bar_coefficient, exact_norm, parseval_defect
+from stochtaylor.coefficients import get_tensor
 
 # The reduced coefficient at all-zero degrees is the ordered-simplex volume:
 # 2^k / k! on [-1, 1]^k.
@@ -27,10 +23,11 @@ print("reduced coefficient, quintuple integral, zeros:   ",
 print("weighted pair (0,1), degrees (0,0):", bar_coefficient((0, 1), (0, 0)))  # -8/3
 
 # Scaling to the real coefficient of the Gaussian product expansion:
-# prod sqrt(2j+1) * (T-t)^(k/2 + L) * 2^-(k+L) * reduced.
+# prod sqrt(2j+1) * (T-t)^(k/2 + L) * 2^-(k+L) * reduced.  The cached tensor
+# stores these floats at T-t = 1.
 print("\nscaled leading coefficients at T-t = 1:")
 for profile in [(0,), (0, 0), (0, 0, 0), (0, 0, 0, 0)]:
-    c = scaled_coefficient(profile, (0,) * len(profile), 1.0)
+    c = get_tensor(profile, 0).scaled_array()[(0,) * len(profile)]
     print(f"  profile {profile}: {c:.6f}")
 
 # Exact squared L2 norms of the kernels (the total variance budget):
@@ -49,7 +46,7 @@ for p in (0, 1, 5, 50):
 # The kernel integrates in u = (1 + x) / 2 on [0, 1], where the Legendre
 # polynomials have integer coefficients (-1)^(j+i) C(j,i) C(j+i,i) and are
 # orthogonal with norm 1/(2j+1):
-p3, p5 = shifted_legendre(3), shifted_legendre(5)
+p3, p5 = ([(-1) ** (j + i) * comb(j, i) * comb(j + i, i) for i in range(j + 1)] for j in (3, 5))
 
 
 def integral(a, b):

@@ -9,7 +9,7 @@ The empirical mean-square gap then matches the exact truncation error.
 import numpy as np
 
 from stochtaylor import IndexPattern, IntegralSpec, exact_error, sample_ito
-from stochtaylor.sampling import make_panel, oracle_mse, sample_stratonovich
+from stochtaylor.sampling import make_panel, oracle_mse
 
 rng = np.random.default_rng(7)
 
@@ -21,12 +21,6 @@ spec = IntegralSpec((0, 0), (1, 1), 0.5)
 z0 = panel.data[0, 0, 0]
 print("pair integral, equal components:",
       sample_ito(spec, 8, panel)[0], "==", 0.25 * (z0**2 - 1))
-
-# Ito vs Stratonovich: for equal components they differ by the diagonal
-# coefficient sum, here exactly h/2.
-strat = sample_stratonovich(spec, 8, panel)[0]
-ito = sample_ito(spec, 8, panel)[0]
-print(f"Stratonovich - Ito = {strat - ito:.6f} (h/2 = 0.25)")
 
 # Monte Carlo validation of the exact error formula for the triple integral:
 # the oracle and the expansion read the same streamed Wiener paths.

@@ -11,10 +11,9 @@ from .coefficients import (
     build_tensor,
     exact_norm,
     parseval_defect,
-    scaled_coefficient,
 )
 from .errors import ErrorResult, IndexPattern, error_bound_kfact, exact_error
-from .legendre import eval_phi, shifted_legendre
+from .legendre import eval_phi
 from .planner import (
     Condition,
     TruncationPlan,
@@ -27,11 +26,8 @@ from .planner import (
 from .sampling import (
     GaussianPanel,
     IntegralSpec,
-    PairPartition,
     discretization_oracle,
-    enumerate_pair_partitions,
     sample_ito,
-    sample_stratonovich,
 )
 from .schemes import (
     SdeProblem,
@@ -52,7 +48,6 @@ __all__ = [
     "GaussianPanel",
     "IndexPattern",
     "IntegralSpec",
-    "PairPartition",
     "SdeProblem",
     "StepContext",
     "TruncationPlan",
@@ -62,7 +57,6 @@ __all__ = [
     "build_tensor",
     "check_hypothesis",
     "discretization_oracle",
-    "enumerate_pair_partitions",
     "error_bound_kfact",
     "estimate_strong_order",
     "eval_phi",
@@ -75,9 +69,6 @@ __all__ = [
     "parseval_defect",
     "reproduce_table",
     "sample_ito",
-    "sample_stratonovich",
-    "scaled_coefficient",
     "scheme_plan",
-    "shifted_legendre",
     "step",
 ]

@@ -32,13 +32,25 @@ def _echo_config(args, keys):
     print(f"> stochtaylor {args.command} " + " ".join(parts))
 
 
-def _parse_weights(text):
+def _entries(option, parts, kind=int):
+    """Each of ``parts`` as a ``kind``; a malformed entry is an error that names ``option``."""
+    out = []
+    for part in parts:
+        try:
+            out.append(kind(part))
+        except ValueError:
+            what = "an integer" if kind is int else "a number"
+            raise ValueError(f"{option}: entry {part!r} is not {what}") from None
+    return out
+
+
+def _parse_weights(text, option="--weights"):
     text = text.strip()
     if "," in text or " " in text:
         parts = text.replace(",", " ").split()
     else:
         parts = list(text)  # compact form: "00" means (0, 0)
-    return coefficients.WeightProfile(int(v) for v in parts)
+    return coefficients.WeightProfile(_entries(option, parts))
 
 
 def _parse_pattern(args, k):
@@ -47,9 +59,9 @@ def _parse_pattern(args, k):
     if args.pattern in ("equal", "all-equal"):
         return errors.IndexPattern.all_equal(k)
     if "|" in args.pattern:
-        blocks = [tuple(int(c) for c in b) for b in args.pattern.split("|")]
+        blocks = [tuple(_entries("--pattern", b)) for b in args.pattern.split("|")]
         return errors.IndexPattern(k, blocks)
-    return errors.IndexPattern.from_indices(int(v) for v in args.pattern.split(","))
+    return errors.IndexPattern.from_indices(_entries("--pattern", args.pattern.split(",")))
 
 
 def _cmd_error(args):
@@ -109,8 +121,8 @@ def _cmd_check(args):
 
 
 def _cmd_mse(args):
-    profile = _parse_weights(args.spec)
-    indices = tuple(int(v) for v in args.i.split(","))
+    profile = _parse_weights(args.spec, "--spec")
+    indices = tuple(_entries("--i", args.i.split(",")))
     spec = sampling.IntegralSpec(profile, indices, args.step)
     pattern = errors.IndexPattern.from_indices(indices)
     exact = errors.exact_error(profile, pattern, args.p, args.step).value
@@ -145,7 +157,7 @@ def _cmd_integrate(args):
 
 def _cmd_order(args):
     problem = _get_problem(args.problem)
-    steps = [float(s) for s in args.steps.split(",")]
+    steps = _entries("--steps", args.steps.split(","), float)
     x0 = [args.x0] * problem.n
     est = schemes.estimate_strong_order(problem, args.scheme, steps, args.paths,
                                         x0, args.T, seed=args.seed)
@@ -220,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_mse)
 
     p = sub.add_parser("integrate", help="integrate a bundled SDE problem")
-    p.add_argument("--scheme", required=True, choices=list(schemes.SCHEMES))
+    p.add_argument("--scheme", required=True, choices=list(planner.SCHEME_ORDER))
     p.add_argument("--problem", default="gbm")
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--T", type=float, required=True)
@@ -230,7 +242,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_integrate)
 
     p = sub.add_parser("order", help="empirical strong convergence order")
-    p.add_argument("--scheme", required=True, choices=list(schemes.SCHEMES))
+    p.add_argument("--scheme", required=True, choices=list(planner.SCHEME_ORDER))
     p.add_argument("--problem", default="gbm")
     p.add_argument("--steps", required=True, help="comma-separated step sizes")
     p.add_argument("--paths", type=int, default=20000)

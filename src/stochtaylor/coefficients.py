@@ -33,7 +33,6 @@ __all__ = [
     "CoeffTensor",
     "StoreCeilingError",
     "bar_coefficient",
-    "scaled_coefficient",
     "check_step",
     "check_cap",
     "as_int",
@@ -214,20 +213,6 @@ def accurate_sum(arr: np.ndarray) -> float:
     n = (flat.size // 1024) * 1024
     chunks = flat[:n].reshape(-1, 1024).sum(axis=1)
     return math.fsum(chunks.tolist() + flat[n:].tolist())
-
-
-def scaled_coefficient(profile, j, T_minus_t: float) -> float:
-    """Real Fourier coefficient of the Gaussian product expansion.
-
-    ``C = prod_m sqrt(2 j_m + 1) * (T-t)^(k/2 + sum l) * 2^-(k + sum l) * barC``, rounded as
-    ``build_tensor`` rounds its fiber entry, so at ``T_minus_t = 1`` it is the tensor's entry.
-    """
-    profile = WeightProfile(profile)
-    check_step(T_minus_t)
-    # the exact (-1)^L n / den that the store rounds, then its roots in axis order
-    c = float(bar_coefficient(profile, j) / 2 ** (profile.k + profile.total_weight))
-    c = math.prod((math.sqrt(2 * jm + 1) for jm in j), start=c)
-    return c * T_minus_t ** (profile.norm_exponent / 2)
 
 
 def exact_norm(profile) -> Fraction:

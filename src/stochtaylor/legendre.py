@@ -1,7 +1,6 @@
-"""Legendre polynomials: exact shifted coefficients in the power basis, the
-degree ceiling that :mod:`stochtaylor.coefficients` enforces, and the
-floating-point orthonormal system on an interval [t, T] for samplers and
-discretization oracles.
+"""Legendre polynomials: the degree ceiling that :mod:`stochtaylor.coefficients`
+enforces, and the floating-point orthonormal system on an interval [t, T] for
+samplers and discretization oracles.
 """
 
 from __future__ import annotations
@@ -9,26 +8,11 @@ from __future__ import annotations
 import math
 
 __all__ = [
-    "shifted_legendre",
     "eval_phi",
 ]
 
 #: practical degree ceiling; coefficient bit-size grows ~j log j beyond this
 MAX_DEGREE = 200
-
-
-def shifted_legendre(j: int) -> tuple[int, ...]:
-    """Integer coefficients of the shifted Legendre polynomial P_j(2u - 1).
-
-    Entry ``i`` is the coefficient of ``u**i``, equal to
-    ``(-1)**(j+i) * C(j, i) * C(j+i, i)``.  Normalization: value 1 at u = 1.
-    """
-    if j < 0:
-        raise ValueError("degree must be non-negative")
-    if j > MAX_DEGREE:
-        raise ValueError(f"degree {j} above practical ceiling {MAX_DEGREE}")
-    return tuple((-1) ** (j + i) * math.comb(j, i) * math.comb(j + i, i)
-                 for i in range(j + 1))
 
 
 def legendre_value(j: int, x: float) -> float:

@@ -1,11 +1,10 @@
-"""Random generation of truncated iterated Ito and Stratonovich integrals.
+"""Random generation of truncated iterated Ito integrals.
 
 The Ito evaluator implements the general Gaussian-product expansion: each
 coefficient multiplies the Wick-type bracket ``prod zeta + sum over r of
 (-1)^r sum over pair partitions of indicator products times the remaining
 zetas``.  Pair indicators require equal Wiener components and equal basis
-degrees.  The Stratonovich variant keeps only the plain product term.
-One kernel evaluates, in path blocks, a lone call's index tuple or, in
+degrees.  One kernel evaluates, in path blocks, a lone call's index tuple or, in
 ``stack_ito``, all m^k tuples of a profile.  Every sampler works on a batch
 of paths; a single draw is a batch of one.
 
@@ -21,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -32,11 +31,8 @@ from .legendre import eval_phi
 __all__ = [
     "IntegralSpec",
     "GaussianPanel",
-    "PairPartition",
-    "enumerate_pair_partitions",
     "sample_ito",
     "stack_ito",
-    "sample_stratonovich",
     "discretization_oracle",
     "zetas_from_increments",
     "wiener_increments",
@@ -45,48 +41,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PairPartition:
-    """r disjoint unordered pairs plus the leftover singletons of {1..k}."""
-
-    pairs: Tuple[Tuple[int, int], ...]
-    singletons: Tuple[int, ...]
-
-    @property
-    def r(self) -> int:
-        return len(self.pairs)
-
-
-def enumerate_pair_partitions(k: int, r: int) -> List[PairPartition]:
-    """All ways to pick r unordered disjoint pairs out of {1..k}.
-
-    Count is k! / (2^r r! (k-2r)!).  Enumeration pairs the smallest free
-    element with each larger one, so it is exhaustive and duplicate-free by
-    construction.
-    """
-    if r < 0 or 2 * r > k:
-        raise ValueError(f"need 0 <= 2r <= k, got k={k}, r={r}")
-    out: List[PairPartition] = []
-
-    def rec(free: Tuple[int, ...], pairs: Tuple[Tuple[int, int], ...],
-            singles: Tuple[int, ...], left: int):
-        if left == 0:
-            out.append(PairPartition(pairs, singles + free))
-            return
-        if len(free) < 2 * left:
-            return
+def _pairings(free: Tuple[int, ...], r: int):
+    """(pairs, singletons) per way to pick r disjoint unordered pairs out of ``free``: its
+    first element is paired with each later one in turn, then left single."""
+    if r == 0:
+        yield (), free
+    elif len(free) >= 2 * r:
         head, rest = free[0], free[1:]
         for idx, other in enumerate(rest):
-            rec(rest[:idx] + rest[idx + 1:], pairs + ((head, other),), singles, left - 1)
-        rec(rest, pairs, singles + (head,), left)
-
-    rec(tuple(range(1, k + 1)), (), (), r)
-    return out
+            for pairs, singles in _pairings(rest[:idx] + rest[idx + 1:], r - 1):
+                yield ((head, other),) + pairs, singles
+        for pairs, singles in _pairings(rest, r):
+            yield pairs, (head,) + singles
 
 
 @functools.cache
-def _all_partitions(k: int) -> Tuple[PairPartition, ...]:
-    return tuple(part for r in range(k // 2 + 1) for part in enumerate_pair_partitions(k, r))
+def _all_partitions(k: int) -> tuple:
+    """(pairs, singletons) per pair partition of {1..k}, r = 0 pairs first."""
+    return tuple(part for r in range(k // 2 + 1) for part in _pairings(tuple(range(1, k + 1)), r))
 
 
 @dataclass(frozen=True)
@@ -192,11 +164,11 @@ def _tuple_tables(comps: Tuple[Tuple[int, ...], ...]):
     pos = np.indices(tuple(map(len, comps))).reshape(len(comps), -1).T
     val = np.stack([np.take(c, pos[:, q]) for q, c in enumerate(comps)], axis=1)
     gathers = []
-    for part in _all_partitions(len(comps)):
+    for pairs, singles in _all_partitions(len(comps)):
         agree = np.ones(len(pos), dtype=bool)
-        for a, b in part.pairs:
+        for a, b in pairs:
             agree &= val[:, a - 1] == val[:, b - 1]
-        single = [q - 1 for q in part.singletons]  # if none, flat is 0: see _contract
+        single = [q - 1 for q in singles]  # if none, flat is 0: see _contract
         flat = np.ravel_multi_index(pos[agree][:, single].T, [len(comps[q]) for q in single])
         gathers.append((np.flatnonzero(agree), flat))
     used = sorted(set().union(*comps))
@@ -204,18 +176,18 @@ def _tuple_tables(comps: Tuple[Tuple[int, ...], ...]):
 
 
 @functools.lru_cache(maxsize=256)
-def _wick_terms(profile: WeightProfile, p: int, T_minus_t: float, ito: bool):
+def _wick_terms(profile: WeightProfile, p: int, T_minus_t: float):
     """(sign, coefficients summed over the pairs' diagonals, singletons) per
-    pair partition, r = 0 first; the Stratonovich sum keeps only r = 0."""
+    pair partition, r = 0 first."""
     k, scale = profile.k, T_minus_t ** (profile.norm_exponent / 2)
     coeff = get_tensor(profile, p).scaled_array()[(slice(0, p + 1),) * k] * scale
     terms = []
-    for part in _all_partitions(k) if ito else _all_partitions(k)[:1]:
+    for pairs, singles in _all_partitions(k):
         axes = list(range(k))
-        for a, b in part.pairs:
+        for a, b in pairs:
             axes[b - 1] = axes[a - 1]
-        traced = np.einsum(coeff, axes, [axes[q - 1] for q in part.singletons])
-        terms.append(((-1.0) ** part.r, np.array(traced, order="C"), part.singletons))
+        traced = np.einsum(coeff, axes, [axes[q - 1] for q in singles])
+        terms.append(((-1.0) ** len(pairs), np.array(traced, order="C"), singles))
     return tuple(terms)
 
 
@@ -232,26 +204,26 @@ def _contract(coeff: np.ndarray, zs) -> np.ndarray:
     return x.reshape(rows, -1)
 
 
-def _wick_sums(profile: WeightProfile, p: int, T_minus_t: float, ito: bool,
-               panel: GaussianPanel, comps: Tuple[Tuple[int, ...], ...]) -> np.ndarray:
+def _wick_sums(profile: WeightProfile, p: int, T_minus_t: float, panel: GaussianPanel,
+               comps: Tuple[Tuple[int, ...], ...]) -> np.ndarray:
     """Box sum of coefficient times Wick bracket for every index tuple of
     ``comps`` (0-based components per axis), (tuples, paths) in C order: each
-    pair partition adds (-1)^r times its contraction where its pairs agree.  The Ito
+    pair partition adds (-1)^r times its contraction where its pairs agree.  The
     sum is c0 prod_i He_{n_i}(zeta_0^(i)) at cap 0 (Kloeden and Platen 1992, 5.2) and,
     for (0,0), ``(T-t)/2 (z0 z0' - I + sum_i (z_{i-1} z_i' - z_i z_{i-1}')/sqrt(4i^2-1))``."""
     check_cap(p)
     used, counts, gathers = _tuple_tables(comps)
     panel.component(1 + used[-1], p)  # raises if the panel is too small
     z = panel.data[..., : p + 1]
-    k, n, pair00 = len(comps), p + 1, ito and p > 0 and profile == (0, 0)
-    terms = None if pair00 else _wick_terms(profile, p, T_minus_t, ito)
+    k, n, pair00 = len(comps), p + 1, p > 0 and profile == (0, 0)
+    terms = None if pair00 else _wick_terms(profile, p, T_minus_t)
     # per path, tuples + k + 1 arrays as wide as the first contraction's output
     rows = max(_MIN_ROWS, _BLOCK_ELEMENTS // ((len(counts) + k + 1) * len(comps[0]) * n ** (k - 1)))
     out = np.empty((len(counts), len(z)))
     for a in range(0, len(z), rows):
         # the Hermite form, read from the panel's table, is kept for speed alone: the general
         # contraction gives the same values to rounding but makes a bilinear t25 run 1.6x slower
-        if ito and p == 0:
+        if p == 0:
             total = terms[0][1].item() * panel.hermite(k)[counts, a:a + rows, used].prod(axis=1).T
         elif pair00:
             z0, z1 = (z[a:a + rows, list(c)] for c in comps)
@@ -271,11 +243,6 @@ def _wick_sums(profile: WeightProfile, p: int, T_minus_t: float, ito: bool,
     return out
 
 
-def _sample(spec: IntegralSpec, p: int, panel: GaussianPanel, ito: bool) -> np.ndarray:
-    comps = tuple((i - 1,) for i in spec.wiener_indices)
-    return _wick_sums(spec.profile, p, spec.T_minus_t, ito, panel, comps)[0]
-
-
 def sample_ito(spec: IntegralSpec, p: int, panel: GaussianPanel) -> np.ndarray:
     """Truncated Gaussian-product approximation of the iterated Ito integral,
     one value per path of the panel.
@@ -287,9 +254,10 @@ def sample_ito(spec: IntegralSpec, p: int, panel: GaussianPanel) -> np.ndarray:
     if IndexPattern.from_indices(spec.wiener_indices).error_vanishes(spec.profile):
         i, k = spec.wiener_indices[0], spec.k
         panel.component(i, 0)  # raises if the panel is too small
-        return _wick_terms(spec.profile, 0, spec.T_minus_t, True)[0][1].item() * \
+        return _wick_terms(spec.profile, 0, spec.T_minus_t)[0][1].item() * \
             panel.hermite(k)[k, :, i - 1]
-    return _sample(spec, p, panel, True)
+    comps = tuple((i - 1,) for i in spec.wiener_indices)
+    return _wick_sums(spec.profile, p, spec.T_minus_t, panel, comps)[0]
 
 
 def stack_ito(profile, p: int, T_minus_t: float, panel: GaussianPanel) -> np.ndarray:
@@ -299,16 +267,7 @@ def stack_ito(profile, p: int, T_minus_t: float, panel: GaussianPanel) -> np.nda
     zero-error one too."""
     spec = IntegralSpec(profile, (1,) * len(profile), T_minus_t)
     w, h, k, m = spec.profile, spec.T_minus_t, spec.k, panel.m
-    return _wick_sums(w, p, h, True, panel, (tuple(range(m)),) * k).reshape((m,) * k + (-1,))
-
-
-def sample_stratonovich(spec: IntegralSpec, p: int, panel: GaussianPanel):
-    """Plain product-sum approximation: the r = 0 term of the Ito sum.
-
-    For multiplicity 2 with equal components this differs from the Ito value
-    by the truncated diagonal sum of coefficients.
-    """
-    return _sample(spec, p, panel, False)
+    return _wick_sums(w, p, h, panel, (tuple(range(m)),) * k).reshape((m,) * k + (-1,))
 
 
 # ---------------------------------------------------------------------------

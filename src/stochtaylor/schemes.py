@@ -35,7 +35,6 @@ from .sampling import GaussianPanel, IntegralSpec, make_panel, sample_ito, stack
 __all__ = [
     "SdeProblem",
     "StepContext",
-    "SCHEMES",
     "required_words",
     "step",
     "grid_steps",
@@ -45,8 +44,6 @@ __all__ = [
     "gbm_problem",
     "bilinear_problem",
 ]
-
-SCHEMES = tuple(SCHEME_ORDER)
 
 
 def required_words(scheme: str) -> List[str]:
@@ -318,7 +315,7 @@ def linear_problem(A, Bs, exact_solution: Callable | None = None, name: str = ""
         Mt = np.reshape(mats, (m,) * _arity(word) + A.shape)  # C order: fast matmul
         return lambda x, t: x @ Mt
 
-    ops = {w: entry(w) for w in required_words(SCHEMES[-1])}
+    ops = {w: entry(w) for w in required_words(list(SCHEME_ORDER)[-1])}
     return SdeProblem(A.shape[0], m, ops, exact_solution=exact_solution, name=name)
 
 

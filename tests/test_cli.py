@@ -234,6 +234,15 @@ class TestSubcommands:
           "--order-exp", "4"), "pattern multiplicity 3 != profile 2"),
         (("error", "--weights", "0,0,0", "--p", "300", "--step", "1"),
          "above the Legendre degree ceiling 200"),
+        (("error", "--weights", "0,x", "--p", "1", "--step", "1"),
+         "--weights: entry 'x' is not an integer"),
+        (("mse", "--spec", "00", "--i", "1,x", "--p", "1"), "--i: entry 'x' is not an integer"),
+        (("error", "--weights", "000", "--pattern", "1,x", "--p", "1", "--step", "1"),
+         "--pattern: entry 'x' is not an integer"),
+        (("error", "--weights", "000", "--pattern", "1x|23", "--p", "1", "--step", "1"),
+         "--pattern: entry 'x' is not an integer"),
+        (("order", "--scheme", "t15", "--steps", "0.1,abc,0.2"),
+         "--steps: entry 'abc' is not a number"),
     ])
     def test_degenerate_start_rejected(self, argv, message, capsys):
         assert run_cli(*argv) == (1, "")

@@ -24,10 +24,8 @@ from stochtaylor.coefficients import (
     exact_norm,
     get_tensor,
     parseval_defect,
-    scaled_coefficient,
 )
 from stochtaylor.errors import IndexPattern, normalized_error
-from stochtaylor.legendre import shifted_legendre
 
 
 def quadrature_bar(exponents, j):
@@ -55,6 +53,23 @@ def quadrature_bar(exponents, j):
 
     sign = (-1) ** sum(exponents)
     return sign * float(rec(len(j) - 1, np.array(1.0)))
+
+
+def shifted_legendre(j):
+    """Monomial oracle: integer coefficients of P~_j(u) = P_j(2u - 1), entry i that of u^i,
+    ``(-1)**(j+i) * C(j, i) * C(j+i, i)``.  Normalization: value 1 at u = 1."""
+    return tuple((-1) ** (j + i) * math.comb(j, i) * math.comb(j + i, i) for i in range(j + 1))
+
+
+def scaled_coefficient(profile, j, T_minus_t):
+    """Scalar oracle: ``C = prod_m sqrt(2 j_m + 1) * (T-t)^(k/2 + sum l) * 2^-(k + sum l) *
+    barC``, rounded as ``build_tensor`` rounds its fiber entry, so at ``T_minus_t = 1`` it
+    is the tensor's entry."""
+    profile = WeightProfile(profile)
+    # the exact (-1)^L n / den that the store rounds, then its roots in axis order
+    c = float(bar_coefficient(profile, j) / 2 ** (profile.k + profile.total_weight))
+    c = math.prod((math.sqrt(2 * jm + 1) for jm in j), start=c)
+    return c * T_minus_t ** (profile.norm_exponent / 2)
 
 
 @functools.cache
@@ -184,20 +199,22 @@ class TestBarCoefficient:
         assert profile == (1, 2, 0) and all(type(l) is int for l in profile)
 
 
+def store_coefficient(profile, j, T_minus_t):
+    """The tensor's float for ``j`` times the step power the samplers apply."""
+    profile = WeightProfile(profile)
+    arr = get_tensor(profile, max(j)).scaled_array()
+    return arr[tuple(j)] * T_minus_t ** (profile.norm_exponent / 2)
+
+
 class TestScaling:
     def test_triple_leading(self):
-        assert scaled_coefficient((0, 0, 0), (0, 0, 0), 1.0) == pytest.approx(1 / 6)
+        assert store_coefficient((0, 0, 0), (0, 0, 0), 1.0) == pytest.approx(1 / 6)
 
     def test_pair_leading(self):
-        assert scaled_coefficient((0, 0), (0, 0), 1.0) == pytest.approx(0.5)
+        assert store_coefficient((0, 0), (0, 0), 1.0) == pytest.approx(0.5)
 
     def test_single(self):
-        assert scaled_coefficient((0,), (0,), 4.0) == pytest.approx(2.0)
-
-    def test_bad_step_rejected(self):
-        for step in (0.0, -0.5, float("nan"), float("-inf")):
-            with pytest.raises(ValueError, match=repr(step)):
-                scaled_coefficient((0, 0), (1, 0), step)
+        assert store_coefficient((0,), (0,), 4.0) == pytest.approx(2.0)
 
     # the published scaling laws, one per weighted family:
     # prefactor denominators 8, 8, 8, 16, 16, 16, 16, 32 and step powers
@@ -220,7 +237,7 @@ class TestScaling:
             j = tuple(rng.randrange(0, 4) for _ in range(k))
             root = math.prod(math.sqrt(2 * jm + 1) for jm in j)
             expect = root / denom * h**power * float(bar_coefficient(profile, j))
-            assert scaled_coefficient(profile, j, h) == pytest.approx(expect, rel=1e-14)
+            assert store_coefficient(profile, j, h) == pytest.approx(expect, rel=1e-14)
 
     def test_scaling_in_step_length(self):
         rng = random.Random(3)
@@ -228,13 +245,9 @@ class TestScaling:
             k, L = len(profile), sum(profile)
             j = tuple(rng.randrange(0, 3) for _ in range(k))
             lam = 0.123
-            c1 = scaled_coefficient(profile, j, 1.0)
-            assert scaled_coefficient(profile, j, lam) == pytest.approx(
+            c1 = store_coefficient(profile, j, 1.0)
+            assert store_coefficient(profile, j, lam) == pytest.approx(
                 lam ** (k / 2 + L) * c1, rel=1e-14)
-
-    def test_step_must_be_positive(self):
-        with pytest.raises(ValueError):
-            scaled_coefficient((0,), (0,), 0.0)
 
     @pytest.mark.parametrize("profile,p", [
         ((0, 0), 9), ((0, 1), 9), ((1, 0, 2), 4), ((0, 0, 0), 4), ((0,) * 4, 2), ((2, 1), 5),

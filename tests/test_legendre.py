@@ -7,8 +7,8 @@ import pytest
 
 from stochtaylor import coefficients
 from stochtaylor.coefficients import _prefix
-from stochtaylor.legendre import eval_phi, legendre_value, shifted_legendre
-from test_coefficients import prefix_poly
+from stochtaylor.legendre import eval_phi, legendre_value
+from test_coefficients import prefix_poly, shifted_legendre
 
 
 def rodrigues_shifted(j):
@@ -172,11 +172,3 @@ def test_basis_fn_normalized():
         vals = np.array([eval_phi(j, si, t, T) for si in s])
         integral = 0.5 * (T - t) * float((w * vals**2).sum())
         assert integral == pytest.approx(1.0, abs=1e-12)
-
-
-def test_degree_ceiling():
-    assert len(shifted_legendre(200)) == 201
-    with pytest.raises(ValueError):
-        shifted_legendre(201)
-    with pytest.raises(ValueError):
-        shifted_legendre(-1)

@@ -10,33 +10,32 @@ on the panel gives the sampler's mean and second moment exactly.
 import functools
 import math
 import tracemalloc
+from dataclasses import dataclass
 from itertools import product
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 import pytest
 from numpy.polynomial import hermite_e
 
 from stochtaylor import coefficients, sampling
-from stochtaylor.coefficients import WeightProfile, exact_norm, get_tensor, scaled_coefficient
+from stochtaylor.coefficients import WeightProfile, exact_norm, get_tensor
 from stochtaylor.errors import IndexPattern, exact_error, normalized_error
 from stochtaylor.legendre import eval_phi
 from stochtaylor.planner import TruncationPlan, case_catalog, scheme_plan
 from stochtaylor.sampling import (
     GaussianPanel,
     IntegralSpec,
-    PairPartition,
     discretization_oracle,
-    enumerate_pair_partitions,
     make_panel,
     oracle_mse,
     sample_ito,
-    sample_stratonovich,
     stack_ito,
     wiener_increments,
     zetas_from_increments,
 )
 from stochtaylor.schemes import StepContext
+from test_coefficients import scaled_coefficient
 
 
 def _d(i, j):
@@ -118,6 +117,45 @@ def transcribe_k5(spec, p, z):
                 term += z(i[single], jj[single])
         total += c * term
     return total
+
+
+@dataclass(frozen=True)
+class PairPartition:
+    """r disjoint unordered pairs plus the leftover singletons of {1..k}."""
+
+    pairs: Tuple[Tuple[int, int], ...]
+    singletons: Tuple[int, ...]
+
+    @property
+    def r(self) -> int:
+        return len(self.pairs)
+
+
+def enumerate_pair_partitions(k: int, r: int) -> List[PairPartition]:
+    """Partition oracle: all ways to pick r unordered disjoint pairs out of {1..k}.
+
+    Count is k! / (2^r r! (k-2r)!).  Enumeration pairs the smallest free
+    element with each larger one, so it is exhaustive and duplicate-free by
+    construction.
+    """
+    if r < 0 or 2 * r > k:
+        raise ValueError(f"need 0 <= 2r <= k, got k={k}, r={r}")
+    out: List[PairPartition] = []
+
+    def rec(free: Tuple[int, ...], pairs: Tuple[Tuple[int, int], ...],
+            singles: Tuple[int, ...], left: int):
+        if left == 0:
+            out.append(PairPartition(pairs, singles + free))
+            return
+        if len(free) < 2 * left:
+            return
+        head, rest = free[0], free[1:]
+        for idx, other in enumerate(rest):
+            rec(rest[:idx] + rest[idx + 1:], pairs + ((head, other),), singles, left - 1)
+        rec(rest, pairs, singles + (head,), left)
+
+    rec(tuple(range(1, k + 1)), (), (), r)
+    return out
 
 
 # The einsum contraction the samplers used before the one-loop Wick sum,
@@ -231,6 +269,13 @@ class TestPairPartitions:
         with pytest.raises(ValueError):
             enumerate_pair_partitions(3, 2)
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_sampler_partitions_match_oracle_in_order(self, k):
+        # the Wick sums add the terms in this order, so the float bits depend on it
+        expect = [(part.pairs, part.singletons)
+                  for r in range(k // 2 + 1) for part in enumerate_pair_partitions(k, r)]
+        assert list(sampling._all_partitions(k)) == expect
+
 
 class TestSampleIto:
     def test_single_integral_example(self):
@@ -340,12 +385,14 @@ class TestSampleIto:
 
 
 class TestStratonovich:
+    """The Ito sum against the plain (Stratonovich) product sum of the same coefficients."""
+
     def test_equals_ito_for_distinct(self):
         rng = np.random.default_rng(8)
         panel = make_panel(rng, 2, 6, paths=20)
         spec = IntegralSpec((0, 0), (1, 2), 0.9)
         a = sample_ito(spec, 6, panel)
-        b = sample_stratonovich(spec, 6, panel)
+        b = _plain_product(_coeff_array(spec, 6), [panel.component(i, 6) for i in (1, 2)])
         # identical up to float ordering of the two evaluation routes
         assert np.allclose(a, b, rtol=0, atol=1e-13)
 
@@ -358,27 +405,16 @@ class TestStratonovich:
         spec = IntegralSpec((0, 0), (1, 1), h)
         for p in (0, 3, 12):
             a = sample_ito(spec, p, panel)
-            b = sample_stratonovich(spec, p, panel)
+            b = _plain_product(_coeff_array(spec, p), [panel.component(1, p)] * 2)
             assert np.allclose(b - a, h / 2, rtol=1e-12)
 
-    def test_triple_zero_panel(self):
-        panel = GaussianPanel(np.zeros((1, 1, 4)))
-        got = sample_stratonovich(IntegralSpec((0, 0, 0), (1, 1, 1), 1.0), 3, panel)
-        assert np.array_equal(got, [0.0])
-
-    def test_multiplicity_six_plain_sum(self):
+    def test_multiplicity_six_matches_einsum(self):
+        # the only sampler check at k = 6: pairs and a triple of pairs agree
         rng = np.random.default_rng(10)
         panel = make_panel(rng, 2, 1, paths=1)
         spec = IntegralSpec((0,) * 6, (1, 2, 1, 2, 1, 2), 1.0)
-        got = sample_stratonovich(spec, 1, panel)
-        expect = 0.0
-        for j in product(range(2), repeat=6):
-            c = scaled_coefficient((0,) * 6, j, 1.0)
-            term = c
-            for m, jm in enumerate(j):
-                term *= float(panel.data[0, spec.wiener_indices[m] - 1, jm])
-            expect += term
-        assert got == pytest.approx([expect], rel=1e-10)
+        expect = _bracket_terms(spec, 1, panel, _coeff_array(spec, 1))
+        assert sample_ito(spec, 1, panel) == pytest.approx(expect, rel=1e-10)
 
 
 class TestContractionOracle:
@@ -400,13 +436,10 @@ class TestContractionOracle:
             spec = IntegralSpec(profile, indices, 0.7)
             coeff = _coeff_array(spec, p)
             for panel in (panel64, GaussianPanel(panel64.data[1:2])):
-                zs = [panel.component(i, p) for i in indices]
-                for new, old in [(sample_ito, _bracket_terms(spec, p, panel, coeff)),
-                                 (sample_stratonovich, _plain_product(coeff, zs))]:
-                    got = new(spec, p, panel)
-                    assert got.shape == old.shape
-                    tol = 1e-12 * max(1.0, np.abs(old).max())
-                    assert np.abs(got - old).max() <= tol, (new.__name__, indices)
+                old = _bracket_terms(spec, p, panel, coeff)
+                got = sample_ito(spec, p, panel)
+                assert got.shape == old.shape
+                assert np.abs(got - old).max() <= 1e-12 * max(1.0, np.abs(old).max()), indices
 
     @pytest.mark.parametrize("profile", [
         (0,), (1,), (0, 1), (1, 0), (2, 1), (0, 0, 0), (0, 0, 1), (0, 1, 0),
@@ -454,7 +487,6 @@ class TestWickBlocks:
         for indices in product((1, 2, 3), repeat=len(profile)):
             spec = IntegralSpec(profile, indices, 0.7)
             out.append(sample_ito(spec, p, panel))
-            out.append(sample_stratonovich(spec, p, panel))
             out.append(stack[tuple(i - 1 for i in indices)])
         return np.array(out)
 
@@ -465,9 +497,9 @@ class TestWickBlocks:
         k = len(profile)
         data = make_panel(np.random.default_rng(40 + k), 3, self.CAPS[k], paths=37).data
         for p in (0, self.CAPS[k]):
-            got = self._values(data, profile, p).reshape(-1, 3, 37)
+            got = self._values(data, profile, p).reshape(-1, 2, 37)
             scale = np.abs(got[:, 0]).max()
-            assert np.abs(got[:, 2] - got[:, 0]).max() <= 1e-13 * scale, p
+            assert np.abs(got[:, 1] - got[:, 0]).max() <= 1e-13 * scale, p
 
     def test_pair_cap_above_tensor_ceiling(self):
         # the (0,0) pair is summed in closed form, so a cap above the degree
@@ -676,7 +708,7 @@ class TestNegativeCap:
             get_tensor((0, 0, 0), 2)
             get_tensor((0, 0), 2)
 
-    @pytest.mark.parametrize("sampler", [sample_ito, sample_stratonovich])
+    @pytest.mark.parametrize("sampler", [sample_ito])
     @pytest.mark.parametrize("profile,indices,p", [
         ((0, 0, 0), (1, 2, 3), -1), ((0, 0), (1, 2), -1), ((0, 0), (1, 1), -3),
     ])

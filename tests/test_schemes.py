@@ -6,10 +6,16 @@ import pytest
 
 from stochtaylor import schemes
 from stochtaylor.errors import IndexPattern, exact_error
-from stochtaylor.planner import _SCHEME_CASES, _TABLES, _family, case_catalog, scheme_plan
+from stochtaylor.planner import (
+    SCHEME_ORDER,
+    _SCHEME_CASES,
+    _TABLES,
+    _family,
+    case_catalog,
+    scheme_plan,
+)
 from stochtaylor.sampling import GaussianPanel
 from stochtaylor.schemes import (
-    SCHEMES,
     SdeProblem,
     StepContext,
     bilinear_problem,
@@ -323,7 +329,7 @@ class TestPrintedOracle:
 
     @pytest.mark.parametrize("paths", [1, 64])
     @pytest.mark.parametrize("problem", sorted(PROBLEMS))
-    @pytest.mark.parametrize("scheme", SCHEMES)
+    @pytest.mark.parametrize("scheme", list(SCHEME_ORDER))
     def test_step_and_endpoints_bit_identical(self, scheme, problem, paths, monkeypatch):
         prob = self.PROBLEMS[problem]()
         x0 = np.linspace(1.0, -0.5, prob.n)
